@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .presentations import affine_a
 from .rewriting import RuleSet, complete, interreduce, make_rule
-from .words import DegLexOrder
 
 
 def r_range(i, j, n):
@@ -27,20 +26,6 @@ def r_range(i, j, n):
         raise ValueError(f"run indices ({i}, {j}) outside alphabet of rank {n}")
     step = 1 if j >= i else -1
     return bytes(range(i, j + step, step))
-
-
-def _f_rules(n, order):
-    rules = []
-    for i in range(n + 1):
-        rules.append(make_rule(bytes([i, i]), b"", order))
-    for i in range(n + 1):
-        for j in range(i + 2, n + 1):
-            if (i, j) != (0, n):
-                rules.append(make_rule(bytes([i, j]), bytes([j, i]), order))
-    for i in range(n):
-        rules.append(make_rule(bytes([i, i + 1, i]), bytes([i + 1, i, i + 1]), order))
-    rules.append(make_rule(bytes([0, n, 0]), bytes([n, 0, n]), order))
-    return rules
 
 
 def _g_rules(n, order):
@@ -109,8 +94,8 @@ def g_families(n):
     """The full explicit rule set (defining relations plus g1-g10) at rank n."""
     if n < 2:
         raise ValueError(f"rank must be >= 2, got {n}")
-    order = DegLexOrder(n + 1)
-    return RuleSet(_f_rules(n, order) + _g_rules(n, order), order)
+    defining = affine_a(n).to_rules()
+    return RuleSet(defining.rules + _g_rules(n, defining.order), defining.order)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .partitions import (
     q_binomial,
 )
 from .presentations import Presentation, affine_a, finite_a, serialize
-from .rewriting import complete, interreduce, normal_form
+from .rewriting import CompletionLimitError, complete, interreduce, normal_form
 from .series import TruncatedSeries, count_reduced
 from .word_classes import (
     NotReducedError,
@@ -58,11 +58,22 @@ def _completed(args):
     return p, interreduce(rs)
 
 
-def _add_source_flags(sub, need_n=True):
+def _nonneg_int(text):
+    """argparse type for ranks and lengths: a negative value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _add_source_flags(sub):
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--builtin", choices=["affine-a", "finite-a"])
     group.add_argument("--file")
-    sub.add_argument("--n", type=int, default=2, help="rank for built-ins")
+    sub.add_argument("--n", type=_nonneg_int, default=2, help="rank for built-ins")
     sub.add_argument("--max-rules", type=int, default=100000)
     sub.add_argument("--max-degree", type=int, default=64)
 
@@ -232,26 +243,26 @@ def build_parser():
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="check the explicit basis against completion")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--max-rules", type=int, default=100000)
     p.add_argument("--max-degree", type=int, default=64)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("growth", help="growth series of reduced words")
     _add_source_flags(p)
-    p.add_argument("--max-len", type=int, default=10)
+    p.add_argument("--max-len", type=_nonneg_int, default=10)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("classify", help="decompose a reduced word")
     p.add_argument("--word", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonneg_int, required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate word classes")
     p.add_argument("kind", choices=["r0free", "arranged", "marked"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=10)
+    p.add_argument("--n", type=_nonneg_int, required=True)
+    p.add_argument("--max-len", type=_nonneg_int, default=10)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.set_defaults(func=cmd_enumerate)
 
@@ -263,7 +274,7 @@ def build_parser():
 
     p = sub.add_parser("bijection", help="connected sequences <-> box partitions")
     p.add_argument("direction", choices=["encode", "decode"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_bijection)
 
@@ -280,10 +291,7 @@ def run(argv, out=None, err=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except CliError as e:
-        err.write(f"error: {e}\n")
-        return 1
-    except (ValueError, OSError) as e:
+    except (CliError, CompletionLimitError, ValueError, OSError) as e:
         err.write(f"error: {e}\n")
         return 1
 

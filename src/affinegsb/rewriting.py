@@ -192,7 +192,12 @@ def is_gs_basis(rs):
 
 @dataclass
 class _Completion:
-    """Mutable completion state: active rules plus an ambiguity queue."""
+    """Mutable completion state: active rules plus an ambiguity queue.
+
+    ``rules`` holds every rule created, indexed as in the queued
+    ambiguities; ``live`` holds the active ones in creation order, so
+    that ``normal_form`` over it applies the lowest-index rule first.
+    """
 
     order: DegLexOrder
     max_rules: int
@@ -201,35 +206,21 @@ class _Completion:
     active: list = field(default_factory=list)
     pending: list = field(default_factory=list)
     created: int = 0
+    live: RuleSet = field(init=False)
+
+    def __post_init__(self):
+        self.live = RuleSet([], self.order)
 
     def active_ruleset(self):
-        live = [r for r, a in zip(self.rules, self.active) if a]
-        return RuleSet(live, self.order)
-
-    def _nf(self, w):
-        # normal form under active rules only
-        changed = True
-        while changed:
-            changed = False
-            for r, alive in zip(self.rules, self.active):
-                if not alive:
-                    continue
-                p = w.find(r.lhs)
-                if p >= 0:
-                    w = w[:p] + r.rhs + w[p + len(r.lhs):]
-                    changed = True
-                    break
-        return w
+        return RuleSet(list(self.live.rules), self.order)
 
     def add_equation(self, u, v):
-        u = self._nf(u)
-        v = self._nf(v)
+        u = normal_form(u, self.live)
+        v = normal_form(v, self.live)
         if u == v:
             return
+        # both sides are normal, so no live rule has this lhs already
         rule = make_rule(u, v, self.order)
-        for k, (r, alive) in enumerate(zip(self.rules, self.active)):
-            if alive and r == rule:
-                return
         self.created += 1
         if self.created > self.max_rules:
             raise CompletionLimitError(
@@ -238,11 +229,13 @@ class _Completion:
         idx = len(self.rules)
         self.rules.append(rule)
         self.active.append(True)
+        self.live.rules.append(rule)
         # prune existing rules whose lhs became reducible; re-add as equations
         stale = []
         for k, (r, alive) in enumerate(zip(self.rules, self.active)):
             if alive and k != idx and rule.lhs in r.lhs:
                 self.active[k] = False
+                self.live.rules.remove(r)
                 stale.append(r)
         for k, (r, alive) in enumerate(zip(self.rules, self.active)):
             if alive:
@@ -272,8 +265,8 @@ class _Completion:
                 continue
             ri = self.rules[amb.i]
             rj = self.rules[amb.j]
-            x = self._nf(_apply_at(amb.word, amb.offset_i, ri))
-            y = self._nf(_apply_at(amb.word, amb.offset_j, rj))
+            x = normal_form(_apply_at(amb.word, amb.offset_i, ri), self.live)
+            y = normal_form(_apply_at(amb.word, amb.offset_j, rj), self.live)
             if x != y:
                 self.add_equation(x, y)
 

@@ -180,10 +180,6 @@ class FactorAutomaton:
         return out
 
 
-def build_factor_automaton(forbidden, alphabet_size):
-    return FactorAutomaton(forbidden, alphabet_size)
-
-
 def count_reduced(rs, max_len):
     """Growth series of words avoiding every leading word of the rule set.
 

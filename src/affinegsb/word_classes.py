@@ -129,6 +129,83 @@ def _chain_ok(chain):
     return True
 
 
+def _head(chain):
+    """(p, q) of the tail head; the empty chain (formal identity) acts as (inf, -1)."""
+    return (chain[0].k, chain[0].l) if chain else (float("inf"), -1)
+
+
+def _marked(skel, p):
+    """Positions of the skeleton whose exponent is forced to be >= 1.
+
+    Interior: a component entered by an L_STEP and left by a K_STEP.
+    Boundary: position 1 entered by an L_STEP when the tail head has
+    p > k.
+    """
+    n = len(skel)
+    steps = _steps_of(skel)
+    marked = [
+        n - idx
+        for idx in range(1, len(steps))
+        if steps[idx - 1] == L_STEP and steps[idx] == K_STEP
+    ]
+    if steps and steps[-1] == L_STEP and p > skel[-1].k:
+        marked.append(1)
+    return marked
+
+
+def _monotone_seqs(n, max_len):
+    """All block sequences of total length <= max_len, the empty one included,
+    with k strictly rising and l strictly falling, l < n throughout."""
+    blocks = [Block(n, k, l) for k in range(2, n + 2) for l in range(n)]
+    out = [()]
+
+    def extend(seq, remaining):
+        for b in blocks:
+            if len(b) <= remaining and (not seq or (b.k > seq[-1].k and b.l < seq[-1].l)):
+                nxt = seq + (b,)
+                out.append(nxt)
+                extend(nxt, remaining - len(b))
+
+    extend((), max_len)
+    return out
+
+
+def _split_tail(blocks):
+    """(component-shaped prefix, tail chain): the tail starts at the first tail-type block."""
+    split = next((i for i, b in enumerate(blocks) if b.is_tail_type()), len(blocks))
+    return tuple(blocks[:split]), tuple(blocks[split:])
+
+
+def _skeleton_through(n, comps, p):
+    """The skeleton that passes through the component blocks comps, in order.
+
+    Between components it takes K_STEPs, then L_STEPs, which introduces
+    no new marked position.  From the last component (or the top) it
+    descends to position 1 without a new mark either: all K_STEPs if the
+    tail head's p allows it, otherwise K_STEPs that stop exactly at k = p.
+    """
+    skel = [Block(n, 2, n)]
+
+    def fill_to(k, l):
+        cur = skel[-1]
+        skel.extend(Block(n, kk, cur.l) for kk in range(cur.k + 1, k + 1))
+        cur = skel[-1]
+        skel.extend(Block(n, cur.k, ll) for ll in range(cur.l - 1, l - 1, -1))
+
+    for b in comps:
+        fill_to(b.k, b.l)
+        if skel[-1] != b:
+            raise InvalidSequenceError(f"block {b} unreachable in skeleton")
+    last = skel[-1]
+    if p > last.l:
+        fill_to(last.l + 1, last.l)
+    else:
+        fill_to(p, p - 1)
+    if len(skel) != n:
+        raise InvalidSequenceError("blocks do not fill a skeleton")
+    return tuple(skel)
+
+
 @dataclass(frozen=True)
 class ArrangedWord:
     """A skeleton with exponents followed by a (possibly empty) tail chain.
@@ -153,7 +230,7 @@ class ArrangedWord:
             raise InvalidSequenceError("exponents must be >= 0")
         if not _chain_ok(self.chain):
             raise InvalidSequenceError("invalid tail chain")
-        p, q = self.head_pq()
+        p, q = _head(self.chain)
         a1 = self.skeleton[-1]
         if not (p >= a1.k and q < a1.l):
             raise InvalidSequenceError("tail head incompatible with last component")
@@ -163,34 +240,13 @@ class ArrangedWord:
                     f"component at position {pos} must have exponent >= 1"
                 )
 
-    def head_pq(self):
-        """(p, q) of the tail head; the formal identity acts as (inf, -1)."""
-        if self.chain:
-            return (self.chain[0].k, self.chain[0].l)
-        return (float("inf"), -1)
-
     def exponent_at(self, pos):
         # position i (1..n) lives at index n - i
         return self.exponents[self.n - pos]
 
     def marked_positions(self):
-        """Positions whose exponent is forced to be >= 1.
-
-        Interior: a component entered by an L_STEP and left by a K_STEP.
-        Boundary: position 1 entered by an L_STEP when the tail head has
-        p > k.
-        """
-        steps = _steps_of(self.skeleton)
-        marked = []
-        for idx in range(1, len(steps)):
-            # component at skeleton index idx, position n - idx
-            if steps[idx - 1] == L_STEP and steps[idx] == K_STEP:
-                marked.append(self.n - idx)
-        if steps and steps[-1] == L_STEP:
-            p, _ = self.head_pq()
-            if p > self.skeleton[-1].k:
-                marked.append(1)
-        return marked
+        """Positions whose exponent is forced to be >= 1."""
+        return _marked(self.skeleton, _head(self.chain)[0])
 
     def word(self):
         parts = []
@@ -212,58 +268,19 @@ def empty_arranged(n):
     return ArrangedWord(n, skel, (0,) * n, ())
 
 
-def _tail_chains(n, max_len):
-    """All valid tail chains (including the empty one) of total length <= max_len."""
-    blocks = [
-        Block(n, k, l)
-        for k in range(2, n + 2)
-        for l in range(0, n + 1)
-        if l - k < -1
-    ]
-    out = [()]
-
-    def extend(chain, remaining):
-        last = chain[-1]
-        for b in blocks:
-            if b.k > last.k and b.l < last.l and len(b) <= remaining:
-                nxt = chain + (b,)
-                out.append(nxt)
-                extend(nxt, remaining - len(b))
-
-    for b in blocks:
-        if len(b) <= max_len:
-            out.append((b,))
-            extend((b,), max_len - len(b))
-    return out
-
-
 def enumerate_arranged(n, max_len):
     """All arranged words of expanded length <= max_len, no duplicates."""
-    chains = _tail_chains(n, max_len)
+    # tail chains: the monotone sequences that start with a tail-type block
+    chains = [c for c in _monotone_seqs(n, max_len) if not c or c[0].is_tail_type()]
     out = []
     for skel in skeletons(n):
-        steps = _steps_of(skel)
-        interior = [
-            n - idx
-            for idx in range(1, len(steps))
-            if steps[idx - 1] == L_STEP and steps[idx] == K_STEP
-        ]
         a1 = skel[-1]
         for chain in chains:
-            tail_len = sum(len(b) for b in chain)
-            if tail_len > max_len:
-                continue
-            p, q = (chain[0].k, chain[0].l) if chain else (float("inf"), -1)
+            p, q = _head(chain)
             if not (p >= a1.k and q < a1.l):
                 continue
-            required = set(interior)
-            if steps and steps[-1] == L_STEP and p > a1.k:
-                required.add(1)
-            budget = max_len - tail_len
-            base = sum(len(skel[n - pos]) for pos in required)
-            if base > budget:
-                continue
-            for expo in _exponent_vectors(skel, required, budget):
+            budget = max_len - sum(len(b) for b in chain)
+            for expo in _exponent_vectors(skel, _marked(skel, p), budget):
                 out.append(ArrangedWord(n, skel, expo, chain))
     out.sort(key=lambda a: (len(a), a.word()))
     return out
@@ -334,7 +351,7 @@ class MarkedSeq:
             raise InvalidSequenceError("invalid tail chain")
         if self.marks:
             last = self.marks[-1]
-            p, q = (self.chain[0].k, self.chain[0].l) if self.chain else (float("inf"), -1)
+            p, q = _head(self.chain)
             if not (last.k < p and q < last.l):
                 raise InvalidSequenceError("last mark incompatible with tail head")
 
@@ -354,29 +371,7 @@ def enumerate_marked(n, max_len):
     falling, l < n throughout); the component-shaped prefix gives the
     marks and the rest the tail chain.
     """
-    blocks = sorted(
-        (Block(n, k, l) for k in range(2, n + 2) for l in range(0, n)),
-        key=lambda b: (b.k, -b.l),
-    )
-    seqs = [()]
-
-    def extend(seq, remaining):
-        last = seq[-1]
-        for b in blocks:
-            if b.k > last.k and b.l < last.l and len(b) <= remaining:
-                nxt = seq + (b,)
-                seqs.append(nxt)
-                extend(nxt, remaining - len(b))
-
-    for b in blocks:
-        if len(b) <= max_len:
-            seqs.append((b,))
-            extend((b,), max_len - len(b))
-
-    out = []
-    for seq in seqs:
-        split = next((i for i, b in enumerate(seq) if b.is_tail_type()), len(seq))
-        out.append(MarkedSeq(n, seq[:split], seq[split:]))
+    out = [MarkedSeq(n, *_split_tail(seq)) for seq in _monotone_seqs(n, max_len)]
     out.sort(key=lambda m: (len(m), m.word()))
     return out
 
@@ -396,42 +391,14 @@ def rebuild(ms):
     the run of K_STEPs followed by L_STEPs dictated by uniqueness, and
     gives marked positions exponent 1, all others 0.
     """
-    n = ms.n
-    p, q = (ms.chain[0].k, ms.chain[0].l) if ms.chain else (float("inf"), -1)
-    chain = [Block(n, 2, n)]
-
-    def fill_to(k, l):
-        # K_STEPs first, then L_STEPs: introduces no new marked position
-        cur = chain[-1]
-        for kk in range(cur.k + 1, k + 1):
-            chain.append(Block(n, kk, cur.l))
-        cur = chain[-1]
-        for ll in range(cur.l - 1, l - 1, -1):
-            chain.append(Block(n, cur.k, ll))
-
-    for mark in ms.marks:
-        fill_to(mark.k, mark.l)
-        if chain[-1] != mark:
-            raise InvalidSequenceError(f"mark {mark} unreachable in skeleton")
-    # descend from the last mark (or the top) to position 1 without
-    # creating a marked position: all K_STEPs if the tail head allows it,
-    # otherwise stop the K_STEPs exactly at k = p
-    cur = chain[-1]
-    if p > cur.l:
-        fill_to(cur.l + 1, cur.l)
-    else:
-        fill_to(p, p - 1)
-    skel = tuple(chain)
-    if len(skel) != n:
-        raise InvalidSequenceError("marked sequence does not fill a skeleton")
-    mark_set = set(ms.marks)
-    expo = tuple(1 if b in mark_set else 0 for b in skel)
-    return ArrangedWord(n, skel, expo, ms.chain)
+    skel = _skeleton_through(ms.n, ms.marks, _head(ms.chain)[0])
+    expo = tuple(1 if b in ms.marks else 0 for b in skel)
+    return ArrangedWord(ms.n, skel, expo, ms.chain)
 
 
 def _parse_blocks(w, n):
-    """Split a word starting with r0 into its r0-initiated block segments."""
-    assert w and w[0] == 0
+    """Split a word that is empty or starts with r0 into its r0-initiated blocks."""
+    assert not w or w[0] == 0
     starts = [i for i, c in enumerate(w) if c == 0]
     starts.append(len(w))
     blocks = []
@@ -481,45 +448,10 @@ def classify(w, n, basis=None):
         raise NotReducedError(w, pos, rule)
     cut = w.find(b"\x00")
     if cut < 0:
-        return Classification(w, empty_arranged(n))
-    prefix, rest = w[:cut], w[cut:]
-    blocks = _parse_blocks(rest, n)
-    comps = []  # (block, multiplicity) for component-shaped blocks, in order
-    chain = []
-    for b in blocks:
-        if b.is_tail_type():
-            chain.append(b)
-        else:
-            if chain:
-                raise InvalidSequenceError("component block after tail chain")
-            if comps and comps[-1][0] == b:
-                comps[-1][1] += 1
-            else:
-                comps.append([b, 1])
-    chain = tuple(chain)
-    p, q = (chain[0].k, chain[0].l) if chain else (float("inf"), -1)
-    skel = [Block(n, 2, n)]
-
-    def fill_to(k, l):
-        cur = skel[-1]
-        for kk in range(cur.k + 1, k + 1):
-            skel.append(Block(n, kk, cur.l))
-        cur = skel[-1]
-        for ll in range(cur.l - 1, l - 1, -1):
-            skel.append(Block(n, cur.k, ll))
-
-    for b, _ in comps:
-        fill_to(b.k, b.l)
-        if skel[-1] != b:
-            raise InvalidSequenceError(f"blocks of {w!r} do not fit one skeleton")
-    cur = skel[-1]
-    if p > cur.l:
-        fill_to(cur.l + 1, cur.l)
-    else:
-        fill_to(p, p - 1)
-    if len(skel) != n:
-        raise InvalidSequenceError(f"blocks of {w!r} do not fill a skeleton")
-    by_block = {b: m for b, m in comps}
-    expo = tuple(by_block.get(b, 0) for b in skel)
-    aw = ArrangedWord(n, tuple(skel), expo, chain)
-    return Classification(prefix, aw)
+        cut = len(w)
+    comps, chain = _split_tail(_parse_blocks(w[cut:], n))
+    runs = [(b, len(list(run))) for b, run in itertools.groupby(comps)]
+    skel = _skeleton_through(n, [b for b, _ in runs], _head(chain)[0])
+    exponents = dict(runs)
+    expo = tuple(exponents.get(b, 0) for b in skel)
+    return Classification(w[:cut], ArrangedWord(n, skel, expo, chain))

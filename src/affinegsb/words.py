@@ -110,25 +110,3 @@ class DegLexOrder:
         if ku > kv:
             return 1
         return 0
-
-    def greater(self, u, v):
-        return self.compare(u, v) > 0
-
-    def key(self, w):
-        self.check(w)
-        return deglex_key(w)
-
-
-def find_factors(w, f):
-    """All 0-based start positions of the factor f in w, ascending.
-
-    Overlapping occurrences are all reported.  f must be nonempty.
-    """
-    if not f:
-        raise ValueError("factor must be nonempty")
-    out = []
-    p = w.find(f)
-    while p >= 0:
-        out.append(p)
-        p = w.find(f, p + 1)
-    return out

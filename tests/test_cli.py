@@ -39,6 +39,14 @@ def test_complete_from_file(tmp_path):
     assert "rel: a b a = b a b" in out
 
 
+def test_complete_limit_is_one_line_error(tmp_path):
+    path = tmp_path / "braid.txt"
+    path.write_text("generators: a b\nrel: a b a = b a b\n")
+    code, out, err = invoke("complete", "--file", str(path), "--max-degree", "12")
+    assert code == 1 and out == ""
+    assert err == "error: ambiguity degree 13 exceeds limit 12\n"
+
+
 def test_complete_missing_source():
     code, out, err = invoke("complete")
     assert code == 1
@@ -195,6 +203,28 @@ def test_usage_error_exit_code():
 def test_missing_required_flag():
     code, _, _ = invoke("verify")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("growth", "--builtin", "affine-a", "--n", "2", "--max-len", "-3"),
+    ("growth", "--builtin", "affine-a", "--n", "-2"),
+    ("enumerate", "r0free", "--n", "2", "--max-len", "-1"),
+    ("enumerate", "arranged", "--n", "-1"),
+    ("verify", "--n", "-4"),
+    ("classify", "--word", "r1", "--n", "-2"),
+    ("bijection", "decode", "--n", "-3", "--input", "1"),
+    ("growth", "--builtin", "affine-a", "--n", "two"),
+])
+def test_negative_or_malformed_count_is_usage_error(argv):
+    code, out, _ = invoke(*argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_small_rank_is_domain_error(n):
+    code, _, err = invoke("growth", "--builtin", "affine-a", "--n", n)
+    assert code == 1
+    assert err.startswith("error:") and "rank" in err
 
 
 def test_entry_point_installed():

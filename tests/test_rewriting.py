@@ -187,6 +187,20 @@ def test_complete_resource_limit_carries_partial_state():
     assert isinstance(exc.value.partial, RuleSet)
 
 
+@pytest.mark.parametrize("relations", [
+    [(b"\x00\x00\x00", b""), (b"\x00\x00", b"")],  # a a a = 1 before a a = 1
+    [(b"\x00\x00\x00", b""), (b"\x00\x00", b"\x01")],  # a a a = 1 before a a = b
+])
+def test_complete_prunes_rule_whose_lhs_contains_new_lhs(relations):
+    rs = RuleSet([make_rule(u, v, ORD2) for u, v in relations], ORD2)
+    result = complete(rs)
+    # the first rule is created as given; only pruning takes it out again
+    assert rs.rules[0] not in result.rules
+    assert is_gs_basis(result)[0]
+    reversed_rs = RuleSet(rs.rules[::-1], ORD2)
+    assert interreduce(result).rules == interreduce(complete(reversed_rs)).rules
+
+
 def test_interreduce_drops_contained_lhs():
     order = DegLexOrder(1)
     rs = RuleSet(

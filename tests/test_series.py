@@ -8,7 +8,6 @@ from affinegsb.series import (
     FactorAutomaton,
     TruncatedSeries,
     bfs_count_oracle,
-    build_factor_automaton,
     count_reduced,
     geometric_factor,
     poincare_affine_a,
@@ -101,7 +100,7 @@ def test_automaton_rejects_factor_words():
 
 def test_automaton_counts_match_brute_force():
     forbidden = [bytes([0, 0]), bytes([1, 2, 1]), bytes([2, 1])]
-    auto = build_factor_automaton(forbidden, 3)
+    auto = FactorAutomaton(forbidden, 3)
     counts = auto.count_by_length(7)
     words = [b""]
     for length in range(1, 8):

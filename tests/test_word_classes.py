@@ -6,6 +6,7 @@ from affinegsb.rewriting import is_reduced, normal_form
 from affinegsb.word_classes import (
     ArrangedWord,
     Block,
+    Classification,
     InvalidSequenceError,
     MarkedSeq,
     NotReducedError,
@@ -239,6 +240,15 @@ def test_classify_empty_word():
     c = classify(b"", 3)
     assert c.r0free == b""
     assert c.arranged == empty_arranged(3)
+
+
+@pytest.mark.parametrize("n,max_len,count", [(2, 14, 64), (3, 12, 102), (4, 11, 121)])
+def test_classify_inverts_enumeration(n, max_len, count):
+    # classify recovers skeleton, exponents and chain, not only the word
+    arranged = enumerate_arranged(n, max_len)
+    assert len(arranged) == count
+    for aw in arranged:
+        assert classify(aw.word(), n) == Classification(b"", aw)
 
 
 def test_marked_components_roundtrip_on_marked_seqs():

@@ -9,7 +9,6 @@ from affinegsb.words import (
     WordSyntaxError,
     affine_alphabet,
     deglex_key,
-    find_factors,
 )
 
 ORD3 = DegLexOrder(3)  # alphabet r0 > r1 > r2
@@ -40,23 +39,6 @@ def test_compare_empty_word_least():
 def test_compare_rank_mismatch():
     with pytest.raises(RankMismatchError):
         ORD3.compare(w(3), w(1))
-
-
-def test_find_factors_overlapping():
-    assert find_factors(w(1, 1, 1), w(1, 1)) == [0, 1]
-
-
-def test_find_factors_absent():
-    assert find_factors(w(0, 1, 0), w(0, 2)) == []
-
-
-def test_find_factors_multiple():
-    assert find_factors(w(0, 1, 2, 0, 1), w(0, 1)) == [0, 3]
-
-
-def test_find_factors_empty_factor_rejected():
-    with pytest.raises(ValueError):
-        find_factors(w(0, 1), b"")
 
 
 def random_word(rng, size, max_len):
