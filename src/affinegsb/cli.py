@@ -59,7 +59,7 @@ def _completed(args):
 
 
 def _nonneg_int(text):
-    """argparse type for ranks and lengths: a negative value is a usage error."""
+    """argparse type for counts and limits: a negative value is a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -69,13 +69,17 @@ def _nonneg_int(text):
     return value
 
 
+def _add_limit_flags(sub):
+    sub.add_argument("--max-rules", type=_nonneg_int, default=100000)
+    sub.add_argument("--max-degree", type=_nonneg_int, default=64)
+
+
 def _add_source_flags(sub):
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--builtin", choices=["affine-a", "finite-a"])
     group.add_argument("--file")
     sub.add_argument("--n", type=_nonneg_int, default=2, help="rank for built-ins")
-    sub.add_argument("--max-rules", type=int, default=100000)
-    sub.add_argument("--max-degree", type=int, default=64)
+    _add_limit_flags(sub)
 
 
 def cmd_complete(args, out):
@@ -210,12 +214,13 @@ def cmd_bijection(args, out):
             t = _parse_tuple(chunk)
             k = t[0] if t else 0
             ones = sum(1 for x in t[1:] if x == 1)
-            if t and any(x not in (0, 1) for x in t[1:]):
-                raise CliError(f"{chunk!r} is not a basic partition")
             try:
-                seq.append(BasicPartition(n, k, ones))
+                bp = BasicPartition(n, k, ones)
             except ValueError as e:
                 raise CliError(str(e)) from None
+            if bp.tuple() != t + (0,) * (n - len(t)):
+                raise CliError(f"{chunk!r} is not a basic partition")
+            seq.append(bp)
         try:
             box = oplus(seq)
         except ValueError as e:
@@ -244,8 +249,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="check the explicit basis against completion")
     p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--max-rules", type=int, default=100000)
-    p.add_argument("--max-degree", type=int, default=64)
+    _add_limit_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("growth", help="growth series of reduced words")
@@ -267,8 +271,8 @@ def build_parser():
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("qbinom", help="Gaussian binomial coefficients")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--m", type=_nonneg_int, required=True)
+    p.add_argument("--r", type=_nonneg_int, required=True)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.set_defaults(func=cmd_qbinom)
 

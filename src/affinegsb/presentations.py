@@ -2,15 +2,15 @@
 
 A presentation is an alphabet (precedence = listed order, first
 greatest) plus a duplicate-free list of relations, each a pair of words.
-Built-in constructors cover the finite type A and the affine cycle
-presentation; arbitrary Coxeter matrices are also supported.
+Every built-in presentation comes from a Coxeter matrix: the finite
+type A is the path, the affine presentation the cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .words import Alphabet, DegLexOrder, WordSyntaxError, affine_alphabet, deglex_key
+from .words import Alphabet, DegLexOrder, WordSyntaxError, deglex_key
 from .rewriting import RuleSet, make_rule
 
 INFINITY = 0  # Coxeter matrix entry meaning "no relation"
@@ -53,44 +53,6 @@ def _braid_word(i, j, m):
     return bytes((i if t % 2 == 0 else j) for t in range(m))
 
 
-def affine_a(n):
-    """The affine cycle presentation on generators r0..rn.
-
-    Involutions, commuting relations for non-adjacent pairs on the
-    (n+1)-cycle, braid relations for adjacent pairs, and the wrap-around
-    braid relation between r0 and rn.
-    """
-    if n < 2:
-        raise PresentationError(f"affine presentation needs rank >= 2, got {n}")
-    rels = []
-    for i in range(n + 1):
-        rels.append((bytes([i, i]), b""))
-    for i in range(n + 1):
-        for j in range(i + 2, n + 1):
-            if (i, j) != (0, n):
-                rels.append((bytes([i, j]), bytes([j, i])))
-    for i in range(n):
-        rels.append((_braid_word(i, i + 1, 3), _braid_word(i + 1, i, 3)))
-    rels.append((_braid_word(0, n, 3), _braid_word(n, 0, 3)))
-    return Presentation(affine_alphabet(n), rels)
-
-
-def finite_a(n):
-    """The symmetric-group presentation on generators r1..rn."""
-    if n < 1:
-        raise PresentationError(f"finite type A needs rank >= 1, got {n}")
-    alphabet = Alphabet([f"r{i}" for i in range(1, n + 1)])
-    rels = []
-    for i in range(n):
-        rels.append((bytes([i, i]), b""))
-    for i in range(n):
-        for j in range(i + 2, n):
-            rels.append((bytes([i, j]), bytes([j, i])))
-    for i in range(n - 1):
-        rels.append((_braid_word(i, i + 1, 3), _braid_word(i + 1, i, 3)))
-    return Presentation(alphabet, rels)
-
-
 @dataclass(frozen=True)
 class CoxeterMatrix:
     """Symmetric matrix of braid exponents; diagonal 1, INFINITY omits a relation."""
@@ -127,6 +89,35 @@ def from_coxeter_matrix(matrix):
             if m != INFINITY:
                 rels.append((_braid_word(i, j, m), _braid_word(j, i, m)))
     return Presentation(alphabet, rels)
+
+
+def _type_a_matrix(g, cycle):
+    """Coxeter matrix of the g-node path, or of the g-cycle if ``cycle``.
+
+    Neighbours i, i+1 (and on the cycle also 0, g-1) braid with exponent
+    3; every other pair commutes.
+    """
+    def entry(i, j):
+        if i == j:
+            return 1
+        d = abs(i - j)
+        return 3 if d == 1 or (cycle and d == g - 1) else 2
+    return CoxeterMatrix(tuple(tuple(entry(i, j) for j in range(g)) for i in range(g)))
+
+
+def affine_a(n):
+    """The affine presentation on generators r0..rn: the (n+1)-cycle."""
+    if n < 2:
+        raise PresentationError(f"affine presentation needs rank >= 2, got {n}")
+    return from_coxeter_matrix(_type_a_matrix(n + 1, cycle=True))
+
+
+def finite_a(n):
+    """The symmetric-group presentation on generators r1..rn: the n-path."""
+    if n < 1:
+        raise PresentationError(f"finite type A needs rank >= 1, got {n}")
+    p = from_coxeter_matrix(_type_a_matrix(n, cycle=False))
+    return Presentation(Alphabet([f"r{i}" for i in range(1, n + 1)]), p.relations)
 
 
 def parse(text):

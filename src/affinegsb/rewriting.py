@@ -9,8 +9,8 @@ trivial, which makes rewriting confluent and normal forms unique.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import DegLexOrder, deglex_key
 
@@ -166,16 +166,21 @@ def _apply_at(w, offset, rule):
     return w[:offset] + rule.rhs + w[offset + len(rule.lhs):]
 
 
+def _descendants(amb, rules, rs):
+    """Normal forms under rs of the two one-step rewrites of the ambiguity
+    word, by ``rules[amb.i]`` at offset_i and ``rules[amb.j]`` at offset_j."""
+    x = normal_form(_apply_at(amb.word, amb.offset_i, rules[amb.i]), rs)
+    y = normal_form(_apply_at(amb.word, amb.offset_j, rules[amb.j]), rs)
+    return x, y
+
+
 def composition_remainder(amb, rs):
     """Resolve an ambiguity: None if the composition is trivial, else a new Rule.
 
-    Both one-step descendants of the ambiguity word are reduced to normal
-    form; a difference of normal forms is the remainder rule.
+    A difference of the normal forms of the two descendants is the
+    remainder rule.
     """
-    ri = rs.rules[amb.i]
-    rj = rs.rules[amb.j]
-    x = normal_form(_apply_at(amb.word, amb.offset_i, ri), rs)
-    y = normal_form(_apply_at(amb.word, amb.offset_j, rj), rs)
+    x, y = _descendants(amb, rs.rules, rs)
     if x == y:
         return None
     return make_rule(x, y, rs.order)
@@ -190,26 +195,27 @@ def is_gs_basis(rs):
     return (not witnesses, witnesses)
 
 
-@dataclass
 class _Completion:
-    """Mutable completion state: active rules plus an ambiguity queue.
+    """Mutable completion state: a rule table plus an ambiguity queue.
 
-    ``rules`` holds every rule created, indexed as in the queued
-    ambiguities; ``live`` holds the active ones in creation order, so
-    that ``normal_form`` over it applies the lowest-index rule first.
+    ``rules[k]`` is the k-th rule created, or None once it is pruned;
+    queued ambiguities refer to rules by this index.  ``live`` holds the
+    rules not pruned, in creation order, so that ``normal_form`` over it
+    applies the lowest-index rule first.
+
+    Invariant: the ambiguities of every pair of live rules are queued when
+    the later of the two is added.  So once ``drain`` has emptied the
+    queue, every composition of the live rules is trivial and they form a
+    Groebner-Shirshov basis; ``complete`` still certifies this.
     """
 
-    order: DegLexOrder
-    max_rules: int
-    max_degree: int
-    rules: list = field(default_factory=list)
-    active: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
-    created: int = 0
-    live: RuleSet = field(init=False)
-
-    def __post_init__(self):
-        self.live = RuleSet([], self.order)
+    def __init__(self, order, max_rules, max_degree):
+        self.order = order
+        self.max_rules = max_rules
+        self.max_degree = max_degree
+        self.rules = []
+        self.live = RuleSet([], order)
+        self.pending = []
 
     def active_ruleset(self):
         return RuleSet(list(self.live.rules), self.order)
@@ -221,24 +227,22 @@ class _Completion:
             return
         # both sides are normal, so no live rule has this lhs already
         rule = make_rule(u, v, self.order)
-        self.created += 1
-        if self.created > self.max_rules:
+        idx = len(self.rules)
+        if idx >= self.max_rules:
             raise CompletionLimitError(
                 f"rule limit {self.max_rules} exceeded", self.active_ruleset()
             )
-        idx = len(self.rules)
         self.rules.append(rule)
-        self.active.append(True)
         self.live.rules.append(rule)
         # prune existing rules whose lhs became reducible; re-add as equations
         stale = []
-        for k, (r, alive) in enumerate(zip(self.rules, self.active)):
-            if alive and k != idx and rule.lhs in r.lhs:
-                self.active[k] = False
+        for k, r in enumerate(self.rules):
+            if r is not None and k != idx and rule.lhs in r.lhs:
+                self.rules[k] = None
                 self.live.rules.remove(r)
                 stale.append(r)
-        for k, (r, alive) in enumerate(zip(self.rules, self.active)):
-            if alive:
+        for k, r in enumerate(self.rules):
+            if r is not None:
                 for amb in _pair_ambiguities(idx, rule.lhs, k, r.lhs):
                     self._push(amb)
                 if k != idx:
@@ -261,12 +265,9 @@ class _Completion:
     def drain(self):
         while self.pending:
             *_, amb = heapq.heappop(self.pending)
-            if not (self.active[amb.i] and self.active[amb.j]):
+            if self.rules[amb.i] is None or self.rules[amb.j] is None:
                 continue
-            ri = self.rules[amb.i]
-            rj = self.rules[amb.j]
-            x = normal_form(_apply_at(amb.word, amb.offset_i, ri), self.live)
-            y = normal_form(_apply_at(amb.word, amb.offset_j, rj), self.live)
+            x, y = _descendants(amb, self.rules, self.live)
             if x != y:
                 self.add_equation(x, y)
 
@@ -282,19 +283,16 @@ def complete(rs, max_rules=100000, max_degree=64):
     state = _Completion(rs.order, max_rules, max_degree)
     for r in rs.rules:
         state.add_equation(r.lhs, r.rhs)
-    state.drain()
-    # safety net: rule pruning during completion is heuristic, so certify
-    # the result and feed any leftover nontrivial compositions back in
+    # by the drain invariant the first certificate holds; any witness
+    # found is fed back as an equation and drained in turn
     while True:
+        state.drain()
         result = state.active_ruleset()
         ok, witnesses = is_gs_basis(result)
         if ok:
             return result
         for amb in witnesses:
-            rem = composition_remainder(amb, result)
-            if rem is not None:
-                state.add_equation(rem.lhs, rem.rhs)
-        state.drain()
+            state.add_equation(*_descendants(amb, result.rules, result))
 
 
 def interreduce(rs):

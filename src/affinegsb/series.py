@@ -39,12 +39,6 @@ class TruncatedSeries:
     def __getitem__(self, d):
         return self.coefficients[d]
 
-    def __add__(self, other):
-        d = min(self.degree, other.degree)
-        return TruncatedSeries.from_list(
-            [self[i] + other[i] for i in range(d + 1)], d
-        )
-
     def __mul__(self, other):
         d = min(self.degree, other.degree)
         out = [0] * (d + 1)

@@ -189,10 +189,15 @@ def test_bijection_roundtrip():
     assert encoded == "3,2,1\n"
 
 
-def test_bijection_bad_input():
-    code, _, err = invoke("bijection", "decode", "--n", "3", "--input", "1,2,3")
-    assert code == 1
-    assert err.startswith("error:")
+@pytest.mark.parametrize("direction, text", [
+    ("decode", "1,2,3"),
+    ("encode", "3,0,1"),  # a one after a zero
+    ("encode", "2,1,0,0,0"),  # longer than n
+])
+def test_bijection_bad_input(direction, text):
+    code, out, err = invoke("bijection", direction, "--n", "3", "--input", text)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():
@@ -214,6 +219,11 @@ def test_missing_required_flag():
     ("classify", "--word", "r1", "--n", "-2"),
     ("bijection", "decode", "--n", "-3", "--input", "1"),
     ("growth", "--builtin", "affine-a", "--n", "two"),
+    ("complete", "--builtin", "affine-a", "--n", "2", "--max-rules", "-1"),
+    ("complete", "--builtin", "affine-a", "--n", "2", "--max-degree", "-5"),
+    ("verify", "--n", "3", "--max-rules", "-1"),
+    ("qbinom", "--m", "3", "--r", "-1"),
+    ("qbinom", "--m", "-2", "--r", "0"),
 ])
 def test_negative_or_malformed_count_is_usage_error(argv):
     code, out, _ = invoke(*argv)

@@ -46,6 +46,36 @@ def test_affine_relation_count_formula(n):
     assert len(affine_a(n).relations) == expected
 
 
+def _type_a_relations(g, edges):
+    """Involutions, braids on the edges and commutations off them, i < j."""
+    rels = {(bytes([i, i]), b"") for i in range(g)}
+    for i in range(g):
+        for j in range(i + 1, g):
+            if (i, j) in edges:
+                rels.add((bytes([i, j, i]), bytes([j, i, j])))
+            else:
+                rels.add((bytes([i, j]), bytes([j, i])))
+    return rels
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_affine_a_is_the_cycle(n):
+    edges = {(i, i + 1) for i in range(n)} | {(0, n)}
+    p = affine_a(n)
+    assert len(p.relations) == len(set(p.relations))
+    assert set(p.relations) == _type_a_relations(n + 1, edges)
+    assert p.alphabet.names == [f"r{i}" for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_finite_a_is_the_path(n):
+    edges = {(i, i + 1) for i in range(n - 1)}
+    p = finite_a(n)
+    assert len(p.relations) == len(set(p.relations))
+    assert set(p.relations) == _type_a_relations(n, edges)
+    assert p.alphabet.names == [f"r{i}" for i in range(1, n + 1)]
+
+
 def test_affine_invalid_rank():
     with pytest.raises(PresentationError):
         affine_a(1)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from affinegsb.presentations import affine_a, finite_a
+from affinegsb.presentations import CoxeterMatrix, affine_a, finite_a, from_coxeter_matrix
 from affinegsb.rewriting import (
     Ambiguity,
     CompletionLimitError,
@@ -17,6 +17,7 @@ from affinegsb.rewriting import (
     make_rule,
     normal_form,
     reduce_once,
+    _Completion,
 )
 from affinegsb.words import DegLexOrder, deglex_key
 
@@ -187,10 +188,13 @@ def test_complete_resource_limit_carries_partial_state():
     assert isinstance(exc.value.partial, RuleSet)
 
 
-@pytest.mark.parametrize("relations", [
+PRUNING_RELATIONS = [
     [(b"\x00\x00\x00", b""), (b"\x00\x00", b"")],  # a a a = 1 before a a = 1
     [(b"\x00\x00\x00", b""), (b"\x00\x00", b"\x01")],  # a a a = 1 before a a = b
-])
+]
+
+
+@pytest.mark.parametrize("relations", PRUNING_RELATIONS)
 def test_complete_prunes_rule_whose_lhs_contains_new_lhs(relations):
     rs = RuleSet([make_rule(u, v, ORD2) for u, v in relations], ORD2)
     result = complete(rs)
@@ -200,6 +204,27 @@ def test_complete_prunes_rule_whose_lhs_contains_new_lhs(relations):
     reversed_rs = RuleSet(rs.rules[::-1], ORD2)
     assert interreduce(result).rules == interreduce(complete(reversed_rs)).rules
 
+
+DRAIN_CASES = {
+    **{f"affine_a{n}": affine_a(n).to_rules() for n in (2, 3, 4)},
+    **{f"finite_a{n}": finite_a(n).to_rules() for n in (2, 3, 4)},
+    "B3": from_coxeter_matrix(CoxeterMatrix(((1, 4, 2), (4, 1, 3), (2, 3, 1)))).to_rules(),
+    "~C2": from_coxeter_matrix(CoxeterMatrix(((1, 4, 2), (4, 1, 4), (2, 4, 1)))).to_rules(),
+    **{f"pruning{k}": RuleSet([make_rule(u, v, ORD2) for u, v in rels], ORD2)
+       for k, rels in enumerate(PRUNING_RELATIONS)},
+}
+
+
+@pytest.mark.parametrize("name", DRAIN_CASES)
+def test_one_drain_leaves_a_gs_basis(name):
+    # every pair of live rules is queued when the later one is added, so
+    # the certification after the first drain finds no witness
+    rs = DRAIN_CASES[name]
+    state = _Completion(rs.order, max_rules=100000, max_degree=64)
+    for r in rs.rules:
+        state.add_equation(r.lhs, r.rhs)
+    state.drain()
+    assert is_gs_basis(state.active_ruleset()) == (True, [])
 
 def test_interreduce_drops_contained_lhs():
     order = DegLexOrder(1)

@@ -22,10 +22,8 @@ def test_series_from_list_pads_and_truncates():
     assert t.coefficients == (1, 2)
 
 
-def test_series_add_mul():
+def test_series_mul():
     a = TruncatedSeries.from_list([1, 1], 3)
-    b = TruncatedSeries.from_list([1, 2, 1], 3)
-    assert (a + b).coefficients == (2, 3, 1, 0)
     assert (a * a).coefficients == (1, 2, 1, 0)
 
 
