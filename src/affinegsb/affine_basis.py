@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .presentations import affine_a
-from .rewriting import RuleSet, complete, interreduce, make_rule
+from .rewriting import RuleSet, complete, make_rule
 
 
 def r_range(i, j, n):
@@ -28,7 +28,7 @@ def r_range(i, j, n):
     return bytes(range(i, j + step, step))
 
 
-def _g_rules(n, order):
+def _g_rules(n):
     R = lambda i, j: r_range(i, j, n)
     rules = []
     # g1: a run followed by its own first letter commutes past, shifted up
@@ -36,57 +36,55 @@ def _g_rules(n, order):
         for j in range(i + 2, n + 1):
             if (i, j) != (0, n):
                 rules.append(make_rule(R(i, j) + bytes([i]),
-                                       bytes([i + 1]) + R(i, j), order))
+                                       bytes([i + 1]) + R(i, j)))
     # g2
     rules.append(make_rule(R(0, n) + bytes([0, n]),
-                           bytes([1]) + R(0, n) + bytes([0]), order))
+                           bytes([1]) + R(0, n) + bytes([0])))
     # g3: j < k-1 < n, so k runs from j+2 up to n
     for j in range(2, n + 1):
         for k in range(j + 2, n + 1):
             rules.append(make_rule(bytes([0]) + R(n, k) + bytes([j]),
-                                   bytes([j, 0]) + R(n, k), order))
+                                   bytes([j, 0]) + R(n, k)))
     # g4
     for j in range(2, n):
         rules.append(make_rule(bytes([0]) + R(n, j) + bytes([j + 1]),
-                               bytes([j, 0]) + R(n, j), order))
+                               bytes([j, 0]) + R(n, j)))
     # g5
     for k in range(2, n):
         rules.append(make_rule(bytes([0]) + R(n, k) + bytes([0]),
-                               bytes([n, 0]) + R(n, k), order))
+                               bytes([n, 0]) + R(n, k)))
     # g6
     for k in range(2, n + 1):
         for l in range(1, n):
             rules.append(make_rule(
                 bytes([0]) + R(n, k) + R(1, l) + R(0, l),
-                bytes([n, 0]) + R(n, k) + R(1, l) + R(0, l - 1), order))
+                bytes([n, 0]) + R(n, k) + R(1, l) + R(0, l - 1)))
     # g7
     for k in range(2, n + 1):
         for l in range(1, k - 1):
             rules.append(make_rule(
                 bytes([0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, k),
-                bytes([1, 0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, k + 1), order))
+                bytes([1, 0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, k + 1)))
     # g8
     for k in range(3, n + 1):
         for l in range(k - 1, n + 1):
             rules.append(make_rule(
                 bytes([0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, k - 1),
-                bytes([1, 0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, k), order))
+                bytes([1, 0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, k)))
     # g9
     for k in range(2, n):
         for j in range(k + 1, n + 1):
             for l in range(1, j - 1):
                 rules.append(make_rule(
                     bytes([0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, j) + R(1, l),
-                    bytes([n, 0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, j) + R(1, l - 1),
-                    order))
+                    bytes([n, 0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, j) + R(1, l - 1)))
     # g10
     for k in range(2, n + 1):
         for j in range(k, n + 1):
             for l in range(j - 1, n):
                 rules.append(make_rule(
                     bytes([0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, j) + R(1, l + 1),
-                    bytes([n, 0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, j) + R(1, l),
-                    order))
+                    bytes([n, 0]) + R(n, k) + R(1, l) + bytes([0]) + R(n, j) + R(1, l)))
     return rules
 
 
@@ -95,7 +93,7 @@ def g_families(n):
     if n < 2:
         raise ValueError(f"rank must be >= 2, got {n}")
     defining = affine_a(n).to_rules()
-    return RuleSet(defining.rules + _g_rules(n, defining.order), defining.order)
+    return RuleSet(defining.rules + _g_rules(n), defining.alphabet_size)
 
 
 @dataclass
@@ -111,9 +109,8 @@ class BasisReport:
 
 
 def verify_explicit_basis(n, max_rules=100000, max_degree=64):
-    """Complete and interreduce the defining relations, compare with g_families."""
-    computed = interreduce(complete(affine_a(n).to_rules(),
-                                    max_rules=max_rules, max_degree=max_degree))
+    """Complete the defining relations, compare the reduced basis with g_families."""
+    computed = complete(affine_a(n).to_rules(), max_rules=max_rules, max_degree=max_degree)
     expected = g_families(n)
     got = set(computed.rules)
     want = set(expected.rules)

@@ -25,7 +25,7 @@ from .partitions import (
     q_binomial,
 )
 from .presentations import Presentation, affine_a, finite_a, serialize
-from .rewriting import CompletionLimitError, complete, interreduce, normal_form
+from .rewriting import CompletionLimitError, complete, normal_form
 from .series import TruncatedSeries, count_reduced
 from .word_classes import (
     NotReducedError,
@@ -54,8 +54,7 @@ def _load_presentation(args):
 
 def _completed(args):
     p = _load_presentation(args)
-    rs = complete(p.to_rules(), max_rules=args.max_rules, max_degree=args.max_degree)
-    return p, interreduce(rs)
+    return p, complete(p.to_rules(), max_rules=args.max_rules, max_degree=args.max_degree)
 
 
 def _nonneg_int(text):
@@ -70,8 +69,11 @@ def _nonneg_int(text):
 
 
 def _add_limit_flags(sub):
-    sub.add_argument("--max-rules", type=_nonneg_int, default=100000)
-    sub.add_argument("--max-degree", type=_nonneg_int, default=64)
+    sub.add_argument("--max-rules", type=_nonneg_int, default=100000,
+                     help="most rules completion may create, pruned ones included")
+    sub.add_argument("--max-degree", type=_nonneg_int, default=64,
+                     help="longest ambiguity word completion may queue "
+                     "(not the longest rule)")
 
 
 def _add_source_flags(sub):
@@ -84,7 +86,7 @@ def _add_source_flags(sub):
 
 def cmd_complete(args, out):
     p, rs = _completed(args)
-    basis = Presentation(p.alphabet, [(r.lhs, r.rhs) for r in rs.sorted_by_lhs()])
+    basis = Presentation(p.alphabet, [(r.lhs, r.rhs) for r in rs.rules])
     if args.format == "json":
         payload = {
             "generators": p.alphabet.names,
@@ -208,9 +210,10 @@ def cmd_bijection(args, out):
             raise CliError(str(e)) from None
         out.write(";".join(",".join(map(str, bp.tuple())) for bp in seq) + "\n")
     else:
-        # connected sequence (";"-separated basic partitions) -> box partition
+        # connected sequence (";"-separated basic partitions) -> box partition;
+        # the empty sequence encodes the zero partition
         seq = []
-        for chunk in args.input.split(";"):
+        for chunk in args.input.split(";") if args.input.strip() else []:
             t = _parse_tuple(chunk)
             k = t[0] if t else 0
             ones = sum(1 for x in t[1:] if x == 1)
@@ -222,7 +225,7 @@ def cmd_bijection(args, out):
                 raise CliError(f"{chunk!r} is not a basic partition")
             seq.append(bp)
         try:
-            box = oplus(seq)
+            box = oplus(seq) if seq else BoxPartition(n, (0,) * n)
         except ValueError as e:
             raise CliError(str(e)) from None
         out.write(",".join(map(str, box.parts)) + "\n")

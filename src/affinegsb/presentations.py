@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .words import Alphabet, DegLexOrder, WordSyntaxError, deglex_key
+from .words import Alphabet, WordSyntaxError, deglex_key
 from .rewriting import RuleSet, make_rule
 
 INFINITY = 0  # Coxeter matrix entry meaning "no relation"
@@ -38,14 +38,9 @@ class Presentation:
                 raise PresentationError(f"duplicate relation {u!r} = {v!r}")
             seen.add((u, v))
 
-    @property
-    def order(self):
-        return DegLexOrder(self.alphabet.size)
-
     def to_rules(self):
         """Orient each relation by deg-lex into a RuleSet."""
-        order = self.order
-        return RuleSet([make_rule(u, v, order) for u, v in self.relations], order)
+        return RuleSet([make_rule(u, v) for u, v in self.relations], self.alphabet.size)
 
 
 def _braid_word(i, j, m):

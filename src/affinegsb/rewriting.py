@@ -12,10 +12,7 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import DegLexOrder, deglex_key
-
-INCLUSION = "inclusion"
-INTERSECTION = "intersection"
+from .words import RankMismatchError, deglex_key
 
 
 class Rule(NamedTuple):
@@ -34,28 +31,29 @@ class CompletionLimitError(RuntimeError):
         self.partial = partial
 
 
-def make_rule(u, v, order):
-    """Orient the relation u = v into a Rule, larger side first."""
-    c = order.compare(u, v)
-    if c == 0:
+def make_rule(u, v):
+    """Orient the relation u = v into a Rule, deg-lex-larger side first."""
+    if u == v:
         raise ValueError("rule sides must differ")
-    lhs, rhs = (u, v) if c > 0 else (v, u)
-    if not lhs:
-        raise ValueError("rule lhs must be nonempty")
-    return Rule(lhs, rhs)
+    return Rule(u, v) if deglex_key(u) > deglex_key(v) else Rule(v, u)
 
 
 @dataclass
 class RuleSet:
+    """Deg-lex oriented, duplicate-free rules over symbols 0..alphabet_size-1."""
+
     rules: list
-    order: DegLexOrder
+    alphabet_size: int
 
     def __post_init__(self):
         seen = set()
         for r in self.rules:
-            if not r.lhs:
-                raise ValueError("rule lhs must be nonempty")
-            if self.order.compare(r.lhs, r.rhs) <= 0:
+            for w in r:
+                if w and max(w) >= self.alphabet_size:
+                    raise RankMismatchError(
+                        f"symbol id {max(w)} outside alphabet of size {self.alphabet_size}"
+                    )
+            if deglex_key(r.lhs) <= deglex_key(r.rhs):
                 raise ValueError(f"rule not deg-lex oriented: {r}")
             if r in seen:
                 raise ValueError(f"duplicate rule: {r}")
@@ -64,14 +62,8 @@ class RuleSet:
     def __len__(self):
         return len(self.rules)
 
-    def __iter__(self):
-        return iter(self.rules)
-
     def leading_words(self):
         return {r.lhs for r in self.rules}
-
-    def sorted_by_lhs(self):
-        return sorted(self.rules, key=lambda r: (deglex_key(r.lhs), deglex_key(r.rhs)))
 
 
 def reduce_once(w, rs):
@@ -118,11 +110,10 @@ def find_first_forbidden(w, rs):
     return best
 
 
-@dataclass(frozen=True)
-class Ambiguity:
+class Ambiguity(NamedTuple):
     """An overlap or inclusion of the leading words of rules i and j.
 
-    ``word`` contains lhs_i at ``offset_i`` and lhs_j at ``offset_j``.
+    ``word`` starts with lhs_i and contains lhs_j at ``offset_j``.
     Inclusion: word == lhs_i contains lhs_j.  Intersection: a proper
     overlap, word = lhs_i . b = a . lhs_j with a, b nonempty.
     """
@@ -130,8 +121,6 @@ class Ambiguity:
     i: int
     j: int
     word: bytes
-    kind: str
-    offset_i: int
     offset_j: int
 
 
@@ -143,12 +132,12 @@ def _pair_ambiguities(i, li, j, lj):
         if len(lj) <= len(li):
             p = li.find(lj)
             while p >= 0:
-                out.append(Ambiguity(i, j, li, INCLUSION, 0, p))
+                out.append(Ambiguity(i, j, li, p))
                 p = li.find(lj, p + 1)
     # proper intersections: a suffix of lhs_i equals a prefix of lhs_j
     for t in range(1, min(len(li), len(lj))):
         if li[-t:] == lj[:t]:
-            out.append(Ambiguity(i, j, li + lj[t:], INTERSECTION, 0, len(li) - t))
+            out.append(Ambiguity(i, j, li + lj[t:], len(li) - t))
     return out
 
 
@@ -158,19 +147,16 @@ def ambiguities(rs):
     for i, ri in enumerate(rs.rules):
         for j, rj in enumerate(rs.rules):
             out.extend(_pair_ambiguities(i, ri.lhs, j, rj.lhs))
-    out.sort(key=lambda a: (deglex_key(a.word), a.i, a.j, a.offset_j))
+    out.sort(key=lambda a: (deglex_key(a.word), a))
     return out
-
-
-def _apply_at(w, offset, rule):
-    return w[:offset] + rule.rhs + w[offset + len(rule.lhs):]
 
 
 def _descendants(amb, rules, rs):
     """Normal forms under rs of the two one-step rewrites of the ambiguity
-    word, by ``rules[amb.i]`` at offset_i and ``rules[amb.j]`` at offset_j."""
-    x = normal_form(_apply_at(amb.word, amb.offset_i, rules[amb.i]), rs)
-    y = normal_form(_apply_at(amb.word, amb.offset_j, rules[amb.j]), rs)
+    word, by ``rules[amb.i]`` at its start and ``rules[amb.j]`` at offset_j."""
+    ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
+    x = normal_form(ri.rhs + w[len(ri.lhs):], rs)
+    y = normal_form(w[:p] + rj.rhs + w[p + len(rj.lhs):], rs)
     return x, y
 
 
@@ -183,7 +169,7 @@ def composition_remainder(amb, rs):
     x, y = _descendants(amb, rs.rules, rs)
     if x == y:
         return None
-    return make_rule(x, y, rs.order)
+    return make_rule(x, y)
 
 
 def is_gs_basis(rs):
@@ -206,19 +192,19 @@ class _Completion:
     Invariant: the ambiguities of every pair of live rules are queued when
     the later of the two is added.  So once ``drain`` has emptied the
     queue, every composition of the live rules is trivial and they form a
-    Groebner-Shirshov basis; ``complete`` still certifies this.
+    Groebner-Shirshov basis; ``complete`` still certifies its
+    interreduction.
     """
 
-    def __init__(self, order, max_rules, max_degree):
-        self.order = order
+    def __init__(self, alphabet_size, max_rules, max_degree):
         self.max_rules = max_rules
         self.max_degree = max_degree
         self.rules = []
-        self.live = RuleSet([], order)
+        self.live = RuleSet([], alphabet_size)
         self.pending = []
 
     def active_ruleset(self):
-        return RuleSet(list(self.live.rules), self.order)
+        return RuleSet(list(self.live.rules), self.live.alphabet_size)
 
     def add_equation(self, u, v):
         u = normal_form(u, self.live)
@@ -226,7 +212,7 @@ class _Completion:
         if u == v:
             return
         # both sides are normal, so no live rule has this lhs already
-        rule = make_rule(u, v, self.order)
+        rule = make_rule(u, v)
         idx = len(self.rules)
         if idx >= self.max_rules:
             raise CompletionLimitError(
@@ -257,14 +243,11 @@ class _Completion:
                 f"ambiguity degree {len(amb.word)} exceeds limit {self.max_degree}",
                 self.active_ruleset(),
             )
-        heapq.heappush(
-            self.pending,
-            (deglex_key(amb.word), amb.i, amb.j, amb.offset_j, amb),
-        )
+        heapq.heappush(self.pending, (deglex_key(amb.word), amb))
 
     def drain(self):
         while self.pending:
-            *_, amb = heapq.heappop(self.pending)
+            _, amb = heapq.heappop(self.pending)
             if self.rules[amb.i] is None or self.rules[amb.j] is None:
                 continue
             x, y = _descendants(amb, self.rules, self.live)
@@ -273,21 +256,23 @@ class _Completion:
 
 
 def complete(rs, max_rules=100000, max_degree=64):
-    """Buchberger-Shirshov completion.
+    """Buchberger-Shirshov completion to the reduced Groebner-Shirshov basis.
 
     Processes ambiguities smallest-first (deg-lex of the ambiguity word),
     adding nontrivial composition remainders as new rules, until every
-    composition is trivial.  May not terminate for arbitrary input; the
-    limits raise CompletionLimitError carrying the partial state.
+    composition is trivial; then interreduces the live rules and returns
+    that basis, certified by ``is_gs_basis``.  May not terminate for
+    arbitrary input; the limits raise CompletionLimitError carrying the
+    live rules reached so far.
     """
-    state = _Completion(rs.order, max_rules, max_degree)
+    state = _Completion(rs.alphabet_size, max_rules, max_degree)
     for r in rs.rules:
         state.add_equation(r.lhs, r.rhs)
     # by the drain invariant the first certificate holds; any witness
     # found is fed back as an equation and drained in turn
     while True:
         state.drain()
-        result = state.active_ruleset()
+        result = interreduce(state.live)
         ok, witnesses = is_gs_basis(result)
         if ok:
             return result
@@ -303,12 +288,12 @@ def interreduce(rs):
     retained rules.
     """
     kept = []
-    for r in rs.sorted_by_lhs():
+    for r in sorted(rs.rules, key=lambda r: (deglex_key(r.lhs), deglex_key(r.rhs))):
         if any(k.lhs in r.lhs for k in kept):
             continue
         kept.append(r)
     while True:
-        base = RuleSet(kept, rs.order)
+        base = RuleSet(kept, rs.alphabet_size)
         reduced = []
         for r in kept:
             reduced.append(Rule(r.lhs, normal_form(r.rhs, base)))

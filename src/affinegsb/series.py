@@ -18,11 +18,10 @@ class TruncatedSeries:
     """Integer power series truncated at degree D (inclusive)."""
 
     coefficients: tuple
-    degree: int
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
+    @property
+    def degree(self):
+        return len(self.coefficients) - 1
 
     @classmethod
     def from_list(cls, coeffs, degree=None):
@@ -30,7 +29,7 @@ class TruncatedSeries:
         if degree is None:
             degree = len(coeffs) - 1
         coeffs = (coeffs + [0] * (degree + 1))[: degree + 1]
-        return cls(tuple(coeffs), degree)
+        return cls(tuple(coeffs))
 
     @classmethod
     def one(cls, degree):
@@ -112,8 +111,6 @@ class FactorAutomaton:
     """
 
     def __init__(self, forbidden, alphabet_size):
-        if not forbidden:
-            raise ValueError("need at least one forbidden word")
         if any(not f for f in forbidden):
             raise ValueError("forbidden words must be nonempty")
         self.alphabet_size = alphabet_size
@@ -179,7 +176,7 @@ def count_reduced(rs, max_len):
 
     For a completed basis this counts group elements by length.
     """
-    auto = FactorAutomaton(sorted(rs.leading_words()), rs.order.alphabet_size)
+    auto = FactorAutomaton(sorted(rs.leading_words()), rs.alphabet_size)
     return TruncatedSeries.from_list(auto.count_by_length(max_len), max_len)
 
 

@@ -9,8 +9,6 @@ prints as ``"1"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 EMPTY = b""
 
 
@@ -83,30 +81,3 @@ def deglex_key(w):
     """
     return (len(w), bytes(255 - c for c in w))
 
-
-@dataclass(frozen=True)
-class DegLexOrder:
-    """Deg-lex order on words over an alphabet of the given size.
-
-    Precedence is the symbol id itself (id 0 greatest), matching the
-    convention r0 > r1 > ... > rn.
-    """
-
-    alphabet_size: int
-
-    def check(self, w):
-        if w and max(w) >= self.alphabet_size:
-            raise RankMismatchError(
-                f"symbol id {max(w)} outside alphabet of size {self.alphabet_size}"
-            )
-
-    def compare(self, u, v):
-        """Return -1, 0 or 1 as u <, =, > v under deg-lex."""
-        self.check(u)
-        self.check(v)
-        ku, kv = deglex_key(u), deglex_key(v)
-        if ku < kv:
-            return -1
-        if ku > kv:
-            return 1
-        return 0

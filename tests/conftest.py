@@ -2,22 +2,22 @@ import pytest
 
 from affinegsb.affine_basis import g_families
 from affinegsb.presentations import affine_a, finite_a
-from affinegsb.rewriting import complete, interreduce
+from affinegsb.rewriting import complete
 
 
 @pytest.fixture(scope="session")
 def affine2_basis():
-    return interreduce(complete(affine_a(2).to_rules()))
+    return complete(affine_a(2).to_rules())
 
 
 @pytest.fixture(scope="session")
 def affine3_basis():
-    return interreduce(complete(affine_a(3).to_rules()))
+    return complete(affine_a(3).to_rules())
 
 
 @pytest.fixture(scope="session")
 def finite3_basis():
-    return interreduce(complete(finite_a(3).to_rules()))
+    return complete(finite_a(3).to_rules())
 
 
 @pytest.fixture(scope="session")

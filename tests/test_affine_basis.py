@@ -10,7 +10,6 @@ from affinegsb.rewriting import (
     is_reduced,
     make_rule,
 )
-from affinegsb.words import DegLexOrder
 
 
 def test_r_range_ascending():
@@ -91,11 +90,9 @@ def test_derivation_chain_braid_commute():
     for n in range(3, 6):
         rs = g_families(n)
         target = make_rule(r_range(0, 2, n) + bytes([0]),
-                           bytes([1]) + r_range(0, 2, n), rs.order)
+                           bytes([1]) + r_range(0, 2, n))
         produced = set()
-        defining = RuleSet(
-            [r for r in rs.rules if len(r.lhs) <= 3], rs.order
-        )
+        defining = RuleSet([r for r in rs.rules if len(r.lhs) <= 3], rs.alphabet_size)
         for amb in ambiguities(defining):
             rem = composition_remainder(amb, defining)
             if rem is not None:
@@ -109,11 +106,11 @@ def test_derivation_chain_wraparound():
     for n in range(2, 6):
         rs = g_families(n)
         target = make_rule(r_range(0, n, n) + bytes([0, n]),
-                           bytes([1]) + r_range(0, n, n) + bytes([0]), rs.order)
+                           bytes([1]) + r_range(0, n, n) + bytes([0]))
         shift = make_rule(r_range(0, n - 1, n) + bytes([0]),
-                          bytes([1]) + r_range(0, n - 1, n), rs.order)
-        wrap = make_rule(bytes([0, n, 0]), bytes([n, 0, n]), rs.order)
-        pair = RuleSet([shift, wrap], rs.order)
+                          bytes([1]) + r_range(0, n - 1, n))
+        wrap = make_rule(bytes([0, n, 0]), bytes([n, 0, n]))
+        pair = RuleSet([shift, wrap], rs.alphabet_size)
         produced = {
             composition_remainder(a, pair)
             for a in ambiguities(pair)
@@ -144,7 +141,7 @@ def test_verify_detects_tampering(monkeypatch):
             r for r in rs.rules
             if r.lhs != r_range(0, n, n) + bytes([0, n])
         ]
-        return RuleSet(dropped, rs.order)
+        return RuleSet(dropped, rs.alphabet_size)
 
     monkeypatch.setattr(ab, "g_families", tampered)
     report = ab.verify_explicit_basis(2)
@@ -163,6 +160,6 @@ def test_explicit_families_are_confluent(n):
 def test_dropping_a_rule_breaks_confluence():
     rs = g_families(2)
     for idx in range(len(rs.rules)):
-        rest = RuleSet(rs.rules[:idx] + rs.rules[idx + 1:], rs.order)
+        rest = RuleSet(rs.rules[:idx] + rs.rules[idx + 1:], rs.alphabet_size)
         ok, _ = is_gs_basis(rest)
         assert not ok, rs.rules[idx]

@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +112,15 @@ def test_growth_json():
     assert [e["coefficient"] for e in payload] == [1, 2, 2, 1, 0]
 
 
+def test_growth_without_relations(tmp_path):
+    # no rules: every word is reduced, the free monoid on two letters
+    path = tmp_path / "free.txt"
+    path.write_text("generators: a b\n")
+    code, out, err = invoke("growth", "--file", str(path), "--max-len", "4")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["0\t1", "1\t2", "2\t4", "3\t8", "4\t16"]
+
+
 def test_classify():
     code, out, _ = invoke("classify", "--word", "r2 r0 r2 r1", "--n", "2")
     assert code == 0
@@ -179,14 +193,16 @@ def test_bijection_encode():
     assert out == "3,3,2,0\n"
 
 
-def test_bijection_roundtrip():
-    code, decoded, _ = invoke("bijection", "decode", "--n", "3", "--input", "3,2,1")
+@pytest.mark.parametrize("box", ["3,2,1", "0,0,0"])
+def test_bijection_roundtrip(box):
+    # the zero partition decodes to the empty sequence, an empty line
+    code, decoded, _ = invoke("bijection", "decode", "--n", "3", "--input", box)
     assert code == 0
     code, encoded, _ = invoke(
         "bijection", "encode", "--n", "3", "--input", decoded.strip()
     )
     assert code == 0
-    assert encoded == "3,2,1\n"
+    assert encoded == box + "\n"
 
 
 @pytest.mark.parametrize("direction, text", [
@@ -238,14 +254,15 @@ def test_small_rank_is_domain_error(n):
 
 
 def test_entry_point_installed():
-    import shutil
-    import subprocess
-
+    # the console script if installed, else the module run from the source tree
     exe = shutil.which("affinegsb")
+    cmd, env = [exe], None
     if exe is None:
-        pytest.skip("console script not on PATH")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cmd, env = [sys.executable, "-m", "affinegsb.cli"], {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [exe, "qbinom", "--m", "2", "--r", "1"], capture_output=True, text=True
+        cmd + ["qbinom", "--m", "2", "--r", "1"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0\t1", "1\t1"]

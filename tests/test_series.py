@@ -115,8 +115,8 @@ def test_automaton_counts_match_brute_force():
 
 
 def test_automaton_needs_forbidden_words():
-    with pytest.raises(ValueError):
-        FactorAutomaton([], 2)
+    # no forbidden word: one state, every word accepted
+    assert FactorAutomaton([], 2).count_by_length(3) == [1, 2, 4, 8]
     with pytest.raises(ValueError):
         FactorAutomaton([b""], 2)
 
