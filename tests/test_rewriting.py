@@ -191,9 +191,16 @@ PRUNING_RELATIONS = [
 @pytest.mark.parametrize("relations", PRUNING_RELATIONS)
 def test_complete_prunes_rule_whose_lhs_contains_new_lhs(relations):
     rs = RuleSet([make_rule(u, v) for u, v in relations], 2)
+    # drive the raw completion state, which complete's final interreduce
+    # would hide: the first rule is created as given and only pruning in
+    # add_equation takes it out again
+    state = _Completion(rs.alphabet_size, max_rules=100000, max_degree=64)
+    for r in rs.rules:
+        state.add_equation(r.lhs, r.rhs)
+    state.drain()
+    assert state.rules[0] is None
+    assert rs.rules[0] not in state.live.rules
     result = complete(rs)
-    # the first rule is created as given; only pruning takes it out again
-    assert rs.rules[0] not in result.rules
     assert is_gs_basis(result)[0]
     reversed_rs = RuleSet(rs.rules[::-1], 2)
     assert result.rules == complete(reversed_rs).rules
@@ -227,6 +234,7 @@ def test_complete_returns_its_certified_reduced_basis(name):
     r = complete(DRAIN_CASES[name])
     assert interreduce(r).rules == r.rules
     assert is_gs_basis(r) == (True, [])
+
 
 def test_interreduce_drops_contained_lhs():
     rs = RuleSet([Rule(b"\x00\x00", b""), Rule(b"\x00\x00\x00", b"\x00")], 1)
