@@ -93,7 +93,7 @@ def g_families(n):
     if n < 2:
         raise ValueError(f"rank must be >= 2, got {n}")
     defining = affine_a(n).to_rules()
-    return RuleSet(defining.rules + _g_rules(n), defining.alphabet_size)
+    return RuleSet([*defining.rules, *_g_rules(n)], defining.alphabet_size)
 
 
 @dataclass

@@ -122,6 +122,10 @@ def cmd_verify(args, out):
         f"{len(report.expected)}, missing {len(report.missing)}, "
         f"extra {len(report.extra)})\n"
     )
+    alphabet = affine_a(args.n).alphabet
+    for label, rules in (("missing", report.missing), ("extra", report.extra)):
+        for r in rules:
+            out.write(f"{label}: {alphabet.text(r.lhs)} = {alphabet.text(r.rhs)}\n")
     return 1
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .words import RankMismatchError, deglex_key
@@ -38,21 +39,92 @@ def make_rule(u, v):
     return Rule(u, v) if deglex_key(u) > deglex_key(v) else Rule(v, u)
 
 
-@dataclass
-class RuleSet:
-    """Deg-lex oriented, duplicate-free rules over symbols 0..alphabet_size-1."""
+def _outside_alphabet(w, alphabet_size):
+    return RankMismatchError(f"symbol id {max(w)} outside alphabet of size {alphabet_size}")
 
-    rules: list
+
+class LeadingWordIndex:
+    """Aho-Corasick automaton over a list of nonempty words (leading words).
+
+    States are the distinct prefixes of the words, numbered breadth-first
+    with children in ascending symbol order, i.e. by ascending
+    (length, bytes); state 0 is the empty prefix.  For each state ``s``:
+
+    - ``goto[s][c]`` is the state of the longest suffix of prefix(s) + c
+      that is again a prefix of some word (the trie edge if there is one,
+      else the failure link's transition), so the table is complete;
+    - ``depth[s]`` is the length of prefix(s);
+    - ``rule[s]`` is the lowest index k of a word equal to prefix(s), or
+      -1 (for a RuleSet's index, word k is the lhs of rule k);
+    - ``suffix[s]`` (the dictionary-suffix link) is the longest proper
+      suffix state along the failure links whose ``rule`` is set, or -1.
+
+    After reading any text from state 0 the current state is the longest
+    suffix of the text that is a prefix of some word, and the words that
+    end at the last letter are ``rule`` of that state and of the states on
+    its ``suffix`` chain, longest first.  Building costs O(total length of
+    the words + states * alphabet_size); failure links are found
+    breadth-first, so a state's link is always numbered before it.
+    """
+
+    def __init__(self, words, alphabet_size):
+        trie, ends = [{}], [-1]
+        for k, w in enumerate(words):
+            if not w:
+                raise ValueError("leading words must be nonempty")
+            if max(w) >= alphabet_size:
+                raise _outside_alphabet(w, alphabet_size)
+            v = 0
+            for c in w:
+                nxt = trie[v].get(c)
+                if nxt is None:
+                    nxt = trie[v][c] = len(trie)
+                    trie.append({})
+                    ends.append(-1)
+                v = nxt
+            if ends[v] < 0:
+                ends[v] = k
+        # order[s] is the trie node of state s; a child is numbered when its
+        # parent is expanded and takes its failure link from the parent's
+        order = [0]
+        fail, self.depth, self.rule, self.suffix = [0], [0], [ends[0]], [-1]
+        self.goto = []
+        for s, v in enumerate(order):
+            back = self.goto[fail[s]] if s else [0] * alphabet_size
+            row = list(back)
+            for c, child in sorted(trie[v].items()):
+                row[c] = len(order)
+                order.append(child)
+                f = back[c]
+                fail.append(f)
+                self.depth.append(self.depth[s] + 1)
+                self.rule.append(ends[child])
+                self.suffix.append(f if self.rule[f] >= 0 else self.suffix[f])
+            self.goto.append(row)
+
+    def matches(self, s):
+        """True if some word is a suffix of prefix(s)."""
+        return self.rule[s] >= 0 or self.suffix[s] >= 0
+
+
+@dataclass(frozen=True)
+class RuleSet:
+    """Deg-lex oriented, duplicate-free rules over symbols 0..alphabet_size-1.
+
+    The rules are kept as a tuple, so the ``index`` built over their
+    leading words on first use always describes them.
+    """
+
+    rules: tuple
     alphabet_size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
         seen = set()
         for r in self.rules:
             for w in r:
                 if w and max(w) >= self.alphabet_size:
-                    raise RankMismatchError(
-                        f"symbol id {max(w)} outside alphabet of size {self.alphabet_size}"
-                    )
+                    raise _outside_alphabet(w, self.alphabet_size)
             if deglex_key(r.lhs) <= deglex_key(r.rhs):
                 raise ValueError(f"rule not deg-lex oriented: {r}")
             if r in seen:
@@ -64,6 +136,11 @@ class RuleSet:
 
     def leading_words(self):
         return {r.lhs for r in self.rules}
+
+    @cached_property
+    def index(self):
+        """The LeadingWordIndex of the lhs, word k being rules[k].lhs."""
+        return LeadingWordIndex([r.lhs for r in self.rules], self.alphabet_size)
 
 
 def reduce_once(w, rs):
@@ -93,21 +170,51 @@ def normal_form(w, rs):
 
 
 def is_reduced(w, rs):
-    return all(w.find(r.lhs) < 0 for r in rs.rules)
+    """True if no leading word of rs occurs in w.
+
+    One pass of ``rs.index`` over w that stops at the first match.
+    """
+    index = rs.index
+    goto, rule, suffix = index.goto, index.rule, index.suffix
+    s = 0
+    try:
+        for c in w:
+            s = goto[s][c]
+            if rule[s] >= 0 or suffix[s] >= 0:
+                return False
+    except IndexError:
+        raise _outside_alphabet(w, rs.alphabet_size) from None
+    return True
 
 
 def find_first_forbidden(w, rs):
     """Leftmost occurrence of any leading word in w, as (position, rule).
 
-    Ties at the same position go to the lowest-index rule.  Returns None
-    if w is reduced.
+    Leftmost means the earliest start; ties at the same position go to the
+    lowest-index rule.  Returns None if w is reduced.  One pass of
+    ``rs.index`` over w, reading at each letter the leading words that end
+    there along the dictionary-suffix links; it stops once no later
+    match can start at or before the best position found.
     """
-    best = None
-    for rule in rs.rules:
-        p = w.find(rule.lhs)
-        if p >= 0 and (best is None or p < best[0]):
-            best = (p, rule)
-    return best
+    index = rs.index
+    goto, depth, rule, suffix = index.goto, index.depth, index.rule, index.suffix
+    best_pos, best_k = len(w), -1
+    s = 0
+    try:
+        for end, c in enumerate(w, 1):
+            s = goto[s][c]
+            # every match still to come starts at or after end - depth[s]
+            if end - depth[s] > best_pos:
+                break
+            t = s if rule[s] >= 0 else suffix[s]
+            while t >= 0:
+                pos, k = end - depth[t], rule[t]
+                if pos < best_pos or (pos == best_pos and k < best_k):
+                    best_pos, best_k = pos, k
+                t = suffix[t]
+    except IndexError:
+        raise _outside_alphabet(w, rs.alphabet_size) from None
+    return None if best_k < 0 else (best_pos, rs.rules[best_k])
 
 
 class Ambiguity(NamedTuple):
@@ -185,9 +292,11 @@ class _Completion:
     """Mutable completion state: a rule table plus an ambiguity queue.
 
     ``rules[k]`` is the k-th rule created, or None once it is pruned;
-    queued ambiguities refer to rules by this index.  ``live`` holds the
-    rules not pruned, in creation order, so that ``normal_form`` over it
-    applies the lowest-index rule first.
+    queued ambiguities refer to rules by this index.  ``live`` is the
+    RuleSet of the rules not pruned, in creation order, so that
+    ``normal_form`` over it applies the lowest-index rule first; it is
+    replaced, never mutated, when a rule is added or pruned, so no index
+    built over an earlier ``live`` is ever used for the new one.
 
     Invariant: the ambiguities of every pair of live rules are queued when
     the later of the two is added.  So once ``drain`` has emptied the
@@ -200,11 +309,8 @@ class _Completion:
         self.max_rules = max_rules
         self.max_degree = max_degree
         self.rules = []
-        self.live = RuleSet([], alphabet_size)
+        self.live = RuleSet((), alphabet_size)
         self.pending = []
-
-    def active_ruleset(self):
-        return RuleSet(list(self.live.rules), self.live.alphabet_size)
 
     def add_equation(self, u, v):
         u = normal_form(u, self.live)
@@ -215,18 +321,15 @@ class _Completion:
         rule = make_rule(u, v)
         idx = len(self.rules)
         if idx >= self.max_rules:
-            raise CompletionLimitError(
-                f"rule limit {self.max_rules} exceeded", self.active_ruleset()
-            )
+            raise CompletionLimitError(f"rule limit {self.max_rules} exceeded", self.live)
         self.rules.append(rule)
-        self.live.rules.append(rule)
         # prune existing rules whose lhs became reducible; re-add as equations
         stale = []
         for k, r in enumerate(self.rules):
             if r is not None and k != idx and rule.lhs in r.lhs:
                 self.rules[k] = None
-                self.live.rules.remove(r)
                 stale.append(r)
+        self.live = RuleSet([r for r in self.rules if r is not None], self.live.alphabet_size)
         for k, r in enumerate(self.rules):
             if r is not None:
                 for amb in _pair_ambiguities(idx, rule.lhs, k, r.lhs):
@@ -241,7 +344,7 @@ class _Completion:
         if len(amb.word) > self.max_degree:
             raise CompletionLimitError(
                 f"ambiguity degree {len(amb.word)} exceeds limit {self.max_degree}",
-                self.active_ruleset(),
+                self.live,
             )
         heapq.heappush(self.pending, (deglex_key(amb.word), amb))
 

@@ -4,13 +4,17 @@ All coefficients are exact Python integers.  Growth counting builds a
 deterministic automaton recognizing words that avoid every leading word
 of a rule set, then counts accepted words per length by dynamic
 programming; a brute-force closure of the defining relations serves as
-an independent oracle in tests.
+an independent oracle in tests.  The automaton is the Aho-Corasick
+automaton of the leading words (``rewriting.LeadingWordIndex``: a trie
+with failure links found breadth-first) restricted to the states reached
+without a match, so building it costs O(states * alphabet size).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+from .rewriting import LeadingWordIndex
 
 
 @dataclass(frozen=True)
@@ -105,40 +109,31 @@ def poincare_affine_a(n, degree):
 class FactorAutomaton:
     """Deterministic automaton accepting words avoiding a set of factors.
 
-    States are the proper prefixes of the forbidden words (plus a dead
-    state); transitions follow the longest suffix of the input that is
-    still a prefix of some forbidden word.
+    Built from the ``LeadingWordIndex`` (Aho-Corasick automaton) of the
+    forbidden words: its states are the prefixes of those words, and its
+    transitions, completed along failure links, follow the longest suffix
+    of the input that is still such a prefix.  The states kept are those
+    reachable from the empty prefix without a match, numbered
+    breadth-first, i.e. by ascending (length, bytes) of their prefixes;
+    every transition into a match goes to the absorbing ``dead`` state.
+    Cost: O(total length of the forbidden words + states * alphabet_size).
+    Raises ValueError for an empty forbidden word and RankMismatchError
+    for a symbol outside the alphabet.
     """
 
     def __init__(self, forbidden, alphabet_size):
-        if any(not f for f in forbidden):
-            raise ValueError("forbidden words must be nonempty")
+        index = LeadingWordIndex(forbidden, alphabet_size)
         self.alphabet_size = alphabet_size
-        prefixes = {b""}
-        for f in forbidden:
-            for t in range(1, len(f)):
-                prefixes.add(f[:t])
-        forbidden = set(forbidden)
-        # drop prefixes that already contain a shorter forbidden factor
-        live = sorted(
-            (p for p in prefixes if not any(f in p for f in forbidden)),
-            key=lambda p: (len(p), p),
-        )
-        index = {p: i for i, p in enumerate(live)}
+        number = {0: 0}
+        live = [0]
+        for s in live:
+            for t in index.goto[s]:
+                if t not in number and not index.matches(t):
+                    number[t] = len(live)
+                    live.append(t)
+        self.start = 0
         self.dead = len(live)
-        self.start = index[b""]
-        table = []
-        for p in live:
-            row = []
-            for c in range(alphabet_size):
-                w = p + bytes([c])
-                if any(f in w for f in forbidden):
-                    row.append(self.dead)
-                else:
-                    while w not in index:
-                        w = w[1:]
-                    row.append(index[w])
-            table.append(row)
+        table = [[number.get(t, self.dead) for t in index.goto[s]] for s in live]
         table.append([self.dead] * alphabet_size)  # dead state is absorbing
         self.table = table
 

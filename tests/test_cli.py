@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from affinegsb import affine_basis
 from affinegsb.cli import run
+from affinegsb.rewriting import Rule, RuleSet
+from affinegsb.words import affine_alphabet
 
 
 def invoke(*argv):
@@ -92,6 +95,24 @@ def test_verify_match():
     code, out, _ = invoke("verify", "--n", "3")
     assert code == 0
     assert out == "MATCH (27 rules)\n"
+
+
+def test_verify_mismatch_names_the_rules(monkeypatch):
+    # expect one rule completion does not give and lack one it does give
+    full = affine_basis.g_families(3)
+    dropped, bogus = full.rules[-1], Rule(b"\x00\x00\x00", b"\x00")
+    monkeypatch.setattr(
+        affine_basis, "g_families",
+        lambda n: RuleSet([*full.rules[:-1], bogus], full.alphabet_size),
+    )
+    code, out, _ = invoke("verify", "--n", "3")
+    alphabet = affine_alphabet(3)
+    assert code == 1
+    assert out.splitlines() == [
+        "MISMATCH (computed 27, expected 27, missing 1, extra 1)",
+        "missing: r0 r0 r0 = r0",
+        f"extra: {alphabet.text(dropped.lhs)} = {alphabet.text(dropped.rhs)}",
+    ]
 
 
 def test_growth_affine2():

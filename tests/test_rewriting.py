@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from affinegsb.affine_basis import g_families
 from affinegsb.presentations import CoxeterMatrix, affine_a, finite_a, from_coxeter_matrix
 from affinegsb.rewriting import (
     Ambiguity,
@@ -11,6 +12,7 @@ from affinegsb.rewriting import (
     ambiguities,
     complete,
     composition_remainder,
+    find_first_forbidden,
     interreduce,
     is_gs_basis,
     is_reduced,
@@ -19,7 +21,7 @@ from affinegsb.rewriting import (
     reduce_once,
     _Completion,
 )
-from affinegsb.words import deglex_key
+from affinegsb.words import RankMismatchError, deglex_key
 
 INVOLUTION = RuleSet([Rule(b"\x00\x00", b"")], 1)
 
@@ -84,6 +86,61 @@ def test_normal_form_unique_on_completed_basis(affine2_basis):
     fixpoints = all_rewrite_fixpoints(w, affine2_basis)
     assert len(fixpoints) == 1
     assert normal_form(w, affine2_basis) == next(iter(fixpoints))
+
+
+def test_find_first_forbidden_is_leftmost_start():
+    # b ends first, but abc starts first
+    b_rule, abc_rule = Rule(b"\x01", b""), Rule(b"\x00\x01\x02", b"")
+    assert find_first_forbidden(b"\x00\x01\x02", RuleSet([b_rule, abc_rule], 3)) == (0, abc_rule)
+
+
+def test_find_first_forbidden_ties_to_lowest_index():
+    # same lhs twice: the lower index wins whichever comes first in the text
+    aa_one, aa_b = Rule(b"\x00\x00", b""), Rule(b"\x00\x00", b"\x01")
+    other = Rule(b"\x01\x01", b"")
+    for rules in ([other, aa_one, aa_b], [other, aa_b, aa_one]):
+        assert find_first_forbidden(b"\x01\x00\x00", RuleSet(rules, 2)) == (1, rules[1])
+    # same start, different lengths: the longer lhs has the lower index and
+    # is found only after the shorter one has matched
+    ab, abc = Rule(b"\x00\x01", b""), Rule(b"\x00\x01\x02", b"")
+    assert find_first_forbidden(b"\x00\x01\x02", RuleSet([abc, ab], 3)) == (0, abc)
+    assert find_first_forbidden(b"\x00\x01\x02", RuleSet([ab, abc], 3)) == (0, ab)
+
+
+def _find_first_forbidden_by_scan(w, rs):
+    best = None
+    for rule in rs.rules:
+        p = w.find(rule.lhs)
+        if p >= 0 and (best is None or p < best[0]):
+            best = (p, rule)
+    return best
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_membership_matches_scan_over_explicit_basis(n):
+    rs = g_families(n)
+    rng = random.Random(n)
+    for _ in range(400):
+        w = bytes(rng.randrange(n + 1) for _ in range(rng.randint(0, 40)))
+        for x in (w, normal_form(w, rs)):
+            assert find_first_forbidden(x, rs) == _find_first_forbidden_by_scan(x, rs), x
+            assert is_reduced(x, rs) == all(x.find(r.lhs) < 0 for r in rs.rules), x
+
+
+def test_membership_rejects_symbol_outside_alphabet(explicit2):
+    for query in (is_reduced, find_first_forbidden):
+        with pytest.raises(RankMismatchError):
+            query(b"\x01\x05", explicit2)
+
+
+def test_index_follows_completion_live_rules():
+    state = _Completion(2, max_rules=100, max_degree=10)
+    state.add_equation(b"\x00\x00", b"")
+    assert is_reduced(b"\x01\x01", state.live)  # builds the index of live
+    state.add_equation(b"\x01\x01", b"")
+    new_rule = state.rules[-1]
+    assert new_rule.lhs == b"\x01\x01"
+    assert not is_reduced(new_rule.lhs, state.live)
 
 
 def test_ambiguities_self_overlap():
@@ -225,7 +282,7 @@ def test_one_drain_leaves_a_gs_basis(name):
     for r in rs.rules:
         state.add_equation(r.lhs, r.rhs)
     state.drain()
-    assert is_gs_basis(state.active_ruleset()) == (True, [])
+    assert is_gs_basis(state.live) == (True, [])
 
 
 @pytest.mark.parametrize("name", DRAIN_CASES)
@@ -239,7 +296,7 @@ def test_complete_returns_its_certified_reduced_basis(name):
 def test_interreduce_drops_contained_lhs():
     rs = RuleSet([Rule(b"\x00\x00", b""), Rule(b"\x00\x00\x00", b"\x00")], 1)
     result = interreduce(rs)
-    assert result.rules == [Rule(b"\x00\x00", b"")]
+    assert result.rules == (Rule(b"\x00\x00", b""),)
 
 
 def test_interreduce_matches_explicit_count(affine3_basis, explicit3):

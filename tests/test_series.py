@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
-from affinegsb.presentations import affine_a, finite_a
-from affinegsb.rewriting import is_reduced
+from affinegsb.affine_basis import g_families
+from affinegsb.presentations import CoxeterMatrix, affine_a, finite_a, from_coxeter_matrix
+from affinegsb.rewriting import complete, is_reduced
 from affinegsb.series import (
     FactorAutomaton,
     TruncatedSeries,
@@ -13,6 +15,7 @@ from affinegsb.series import (
     poincare_affine_a,
     series_expand_rational,
 )
+from affinegsb.words import RankMismatchError
 
 
 def test_series_from_list_pads_and_truncates():
@@ -112,6 +115,93 @@ def test_automaton_counts_match_brute_force():
         words = nxt
         assert counts[length] == len(words), length
     assert counts[0] == 1
+
+
+def naive_automaton(forbidden, alphabet_size):
+    """Reference construction: (table, start, dead, state_count).
+
+    States are the proper prefixes of the forbidden words that contain no
+    forbidden word, sorted by (length, bytes); each transition is tested
+    against every forbidden word and falls back by dropping first letters.
+    """
+    prefixes = {b""}
+    for f in forbidden:
+        for t in range(1, len(f)):
+            prefixes.add(f[:t])
+    forbidden = set(forbidden)
+    live = sorted(
+        (p for p in prefixes if not any(f in p for f in forbidden)),
+        key=lambda p: (len(p), p),
+    )
+    index = {p: i for i, p in enumerate(live)}
+    dead = len(live)
+    table = []
+    for p in live:
+        row = []
+        for c in range(alphabet_size):
+            w = p + bytes([c])
+            if any(f in w for f in forbidden):
+                row.append(dead)
+            else:
+                while w not in index:
+                    w = w[1:]
+                row.append(index[w])
+        table.append(row)
+    table.append([dead] * alphabet_size)
+    return table, index[b""], dead, len(table)
+
+
+def _coxeter_basis(entries):
+    return complete(from_coxeter_matrix(CoxeterMatrix(entries)).to_rules())
+
+
+REFERENCE_CASES = {
+    **{f"g_families{n}": lambda n=n: g_families(n) for n in range(2, 8)},
+    "B3": lambda: _coxeter_basis(((1, 4, 2), (4, 1, 3), (2, 3, 1))),
+    "H3": lambda: _coxeter_basis(((1, 5, 2), (5, 1, 3), (2, 3, 1))),
+    "~C2": lambda: _coxeter_basis(((1, 4, 2), (4, 1, 4), (2, 4, 1))),
+}
+
+
+def _tables(auto):
+    return auto.table, auto.start, auto.dead, auto.state_count
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_automaton_matches_reference_on_bases(name):
+    rs = REFERENCE_CASES[name]()
+    words = sorted(rs.leading_words())
+    auto = FactorAutomaton(words, rs.alphabet_size)
+    assert _tables(auto) == naive_automaton(words, rs.alphabet_size)
+
+
+def test_automaton_matches_reference_on_random_sets():
+    rng = random.Random(2012)
+    for _ in range(300):
+        size = rng.randint(1, 4)
+        words = [bytes(rng.randrange(size) for _ in range(rng.randint(1, 6)))
+                 for _ in range(rng.randint(0, 8))]
+        # nested words: a prefix or an inner factor of a word already drawn
+        for w in words[: rng.randint(0, 2)]:
+            i = rng.randrange(len(w))
+            words.append(w[i: rng.randint(i + 1, len(w))])
+        words += words[: rng.randint(0, 2)]  # duplicate words
+        rng.shuffle(words)
+        auto = FactorAutomaton(words, size)
+        assert _tables(auto) == naive_automaton(words, size), (words, size)
+
+
+@pytest.mark.parametrize("forbidden", [[b"\x05"], [b"\x00", b"\x01\x02"]])
+def test_automaton_rejects_symbol_outside_alphabet(forbidden):
+    with pytest.raises(RankMismatchError):
+        FactorAutomaton(forbidden, 2)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_growth_of_explicit_basis_at_scale(n):
+    rs = g_families(n)
+    auto = FactorAutomaton(sorted(rs.leading_words()), rs.alphabet_size)
+    assert auto.count_by_length(100) == list(poincare_affine_a(n, 100).coefficients)
 
 
 def test_automaton_needs_forbidden_words():
