@@ -3,7 +3,8 @@
 Besides the defining relations (involutions f1, commuting f2, braid f3,
 wrap-around braid f4) the basis consists of ten derived families g1-g10
 built from consecutive-index runs.  ``verify_explicit_basis`` checks the
-explicit families against machine completion for concrete n.
+explicit families against machine completion for concrete n;
+``certified_basis`` proves them the reduced basis without completion.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .presentations import affine_a
-from .rewriting import RuleSet, complete, make_rule
+from .rewriting import RuleSet, complete, interreduce, is_gs_basis, make_rule, normal_form
 
 
 def r_range(i, j, n):
@@ -94,6 +95,46 @@ def g_families(n):
         raise ValueError(f"rank must be >= 2, got {n}")
     defining = affine_a(n).to_rules()
     return RuleSet([*defining.rules, *_g_rules(n)], defining.alphabet_size)
+
+
+def _window(word, n):
+    """The affine permutation of a word as its window [w(1), ..., w(n+1)]
+    (Bjorner & Brenti, 2005, 8.3); r0 swaps w(0) = w(n+1) - (n+1) and w(1)."""
+    w = list(range(1, n + 2))
+    for i in word:
+        if i:
+            w[i - 1], w[i] = w[i], w[i - 1]
+        else:
+            w[0], w[-1] = w[-1] - (n + 1), w[0] + (n + 1)
+    return w
+
+
+# the checks of certified_basis, in the order they run; (d) costs the most
+_CERTIFICATE = (
+    ("(a) both sides of every rule are one affine permutation",
+     lambda S, n: all(_window(r.lhs, n) == _window(r.rhs, n) for r in S.rules)),
+    ("(b) interreduce leaves the rules unchanged",
+     lambda S, n: set(interreduce(S).rules) == set(S.rules)),
+    ("(c) the defining relations have equal normal forms",
+     lambda S, n: all(normal_form(u, S) == normal_form(v, S)
+                      for u, v in affine_a(n).relations)),
+    ("(d) is_gs_basis holds", lambda S, n: is_gs_basis(S)[0]),
+)
+
+
+def certified_basis(n):
+    """g_families(n), certified on every call to be what ``complete`` returns.
+
+    By (a) and (c) the rules and the defining relations present the same
+    group; by (b) and (d) the rules are a reduced Groebner-Shirshov basis,
+    which is unique for deg-lex (Composition-Diamond lemma).  The first
+    check that fails raises ValueError naming it.
+    """
+    S = g_families(n)
+    for name, holds in _CERTIFICATE:
+        if not holds(S, n):
+            raise ValueError(f"g_families({n}) fails certificate check {name}")
+    return S
 
 
 @dataclass

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import presentations
-from .affine_basis import g_families, verify_explicit_basis
+from .affine_basis import certified_basis, g_families, verify_explicit_basis
 from .partitions import (
     BasicPartition,
     BoxPartition,
@@ -52,8 +52,12 @@ def _load_presentation(args):
     raise CliError("one of --builtin or --file is required")
 
 
-def _completed(args):
+def _basis(args, explicit=False):
+    """The presentation and its reduced basis, by completion unless
+    ``explicit`` and built-in affine A: then the certified g1-g10 basis."""
     p = _load_presentation(args)
+    if explicit and args.builtin == "affine-a":
+        return p, certified_basis(args.n)
     return p, complete(p.to_rules(), max_rules=args.max_rules, max_degree=args.max_degree)
 
 
@@ -69,11 +73,12 @@ def _nonneg_int(text):
 
 
 def _add_limit_flags(sub):
+    unused = "; unused by reduce/growth --builtin affine-a, which run no completion"
     sub.add_argument("--max-rules", type=_nonneg_int, default=100000,
-                     help="most rules completion may create, pruned ones included")
+                     help="most rules completion may create, pruned ones included" + unused)
     sub.add_argument("--max-degree", type=_nonneg_int, default=64,
                      help="longest ambiguity word completion may queue "
-                     "(not the longest rule)")
+                     "(not the longest rule)" + unused)
 
 
 def _add_source_flags(sub):
@@ -85,7 +90,7 @@ def _add_source_flags(sub):
 
 
 def cmd_complete(args, out):
-    p, rs = _completed(args)
+    p, rs = _basis(args)
     basis = Presentation(p.alphabet, [(r.lhs, r.rhs) for r in rs.rules])
     if args.format == "json":
         payload = {
@@ -102,7 +107,7 @@ def cmd_complete(args, out):
 
 
 def cmd_reduce(args, out):
-    p, rs = _completed(args)
+    p, rs = _basis(args, explicit=True)
     try:
         w = p.alphabet.word(args.word)
     except WordSyntaxError as e:
@@ -130,7 +135,7 @@ def cmd_verify(args, out):
 
 
 def cmd_growth(args, out):
-    _, rs = _completed(args)
+    _, rs = _basis(args, explicit=True)
     series = count_reduced(rs, args.max_len)
     _emit_series(series, args.format, out)
     return 0
@@ -154,7 +159,7 @@ def cmd_classify(args, out):
     except WordSyntaxError as e:
         raise CliError(str(e)) from None
     try:
-        c = classify(w, n)
+        c = classify(w, n, g_families(n))
     except NotReducedError as e:
         raise CliError(
             f"not reduced: factor {alphabet.text(e.rule.lhs)!r} at position {e.position}"

@@ -160,8 +160,11 @@ def normal_form(w, rs):
     """Iterate reduce_once to a fixpoint.
 
     Terminates because every step is a strict deg-lex decrease; on a
-    Groebner-Shirshov basis the result is strategy-independent.
+    Groebner-Shirshov basis the result is strategy-independent.  Raises
+    RankMismatchError if w has a symbol outside the alphabet of rs.
     """
+    if w and max(w) >= rs.alphabet_size:
+        raise _outside_alphabet(w, rs.alphabet_size)
     while True:
         nxt = reduce_once(w, rs)
         if nxt is None:

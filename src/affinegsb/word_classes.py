@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .affine_basis import g_families, r_range
+from .affine_basis import r_range
 from .rewriting import find_first_forbidden
 from .words import EMPTY
 
@@ -434,14 +434,12 @@ class Classification:
     arranged: ArrangedWord
 
 
-def classify(w, n, basis=None):
+def classify(w, n, basis):
     """Decompose a reduced word into its r0-free prefix and arranged part.
 
-    Raises NotReducedError (with the offending factor's position and
-    rule) if the word contains a leading word of the explicit basis.
+    Raises NotReducedError (with the offending factor's position and rule)
+    if the word contains a leading word of ``basis``, i.e. g_families(n).
     """
-    if basis is None:
-        basis = g_families(n)
     hit = find_first_forbidden(w, basis)
     if hit is not None:
         pos, rule = hit

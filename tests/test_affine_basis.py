@@ -1,6 +1,14 @@
+import re
+
 import pytest
 
-from affinegsb.affine_basis import g_families, r_range, verify_explicit_basis
+from affinegsb import affine_basis
+from affinegsb.affine_basis import (
+    certified_basis,
+    g_families,
+    r_range,
+    verify_explicit_basis,
+)
 from affinegsb.rewriting import (
     Rule,
     RuleSet,
@@ -163,3 +171,36 @@ def test_dropping_a_rule_breaks_confluence():
         rest = RuleSet(rs.rules[:idx] + rs.rules[idx + 1:], rs.alphabet_size)
         ok, _ = is_gs_basis(rest)
         assert not ok, rs.rules[idx]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_certified_basis_is_g_families(n):
+    assert certified_basis(n) == g_families(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_certified_basis_is_what_completion_returns(n):
+    assert set(certified_basis(n).rules) == set(verify_explicit_basis(n).computed.rules)
+
+
+def _reversed_last_rhs(rules):
+    return rules[:-1] + [Rule(rules[-1].lhs, rules[-1].rhs[::-1])]
+
+
+# a tampered rank-2 basis per check, and the checks it fails (the first is named)
+@pytest.mark.parametrize("tamper, failing", [
+    pytest.param(_reversed_last_rhs, ["(a)", "(b)", "(d)"], id="reversed last rhs"),
+    pytest.param(lambda rules: rules + [Rule(b"\x00\x00\x00", b"\x00")], ["(b)"],
+                 id="added r0 r0 r0 -> r0"),
+    pytest.param(lambda rules: rules[:3], ["(c)"], id="involutions alone"),
+    pytest.param(lambda rules: [r for r in rules if r.lhs != r_range(0, 2, 2) + b"\x00\x02"],
+                 ["(d)"], id="no g2 rule"),
+])
+def test_certificate_rejects_tampered_basis(monkeypatch, tamper, failing):
+    real = g_families(2)
+    basis = RuleSet(tamper(list(real.rules)), real.alphabet_size)
+    assert [name[:3] for name, holds in affine_basis._CERTIFICATE
+            if not holds(basis, 2)] == failing
+    monkeypatch.setattr(affine_basis, "g_families", lambda n: basis)
+    with pytest.raises(ValueError, match="check " + re.escape(failing[0])):
+        certified_basis(2)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from affinegsb import affine_basis
+from affinegsb import affine_basis, cli
 from affinegsb.cli import run
+from affinegsb.presentations import affine_a, serialize
 from affinegsb.rewriting import Rule, RuleSet
 from affinegsb.words import affine_alphabet
 
@@ -89,6 +91,54 @@ def test_reduce_bad_word():
     )
     assert code == 1
     assert "r9" in err
+
+
+def _reduce_and_growth(n, source):
+    # the identity, r0 r2 r0 and 20 seeded words, then the growth series
+    rng = random.Random(n)
+    words = ["1", "r0 r2 r0"] + [
+        " ".join(f"r{rng.randrange(n + 1)}" for _ in range(rng.randrange(1, 16)))
+        for _ in range(20)
+    ]
+    runs = [invoke("reduce", *source, "--word", w) for w in words]
+    return runs + [invoke("growth", *source, "--max-len", "12")]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_affine_fast_path_prints_what_completion_prints(n, tmp_path, monkeypatch):
+    # --file runs completion, --builtin affine-a the certified explicit basis;
+    # each basis is built once per source and reused across the invocations
+    used = []
+
+    def once(f):
+        memo = {}
+
+        def wrapper(key, **kwargs):
+            used.append(f.__name__)
+            if key not in memo:
+                memo[key] = f(key, **kwargs)
+            return memo[key]
+        return wrapper
+
+    monkeypatch.setattr(cli, "complete", once(cli.complete))
+    monkeypatch.setattr(cli, "certified_basis", once(cli.certified_basis))
+    path = tmp_path / "affine.txt"
+    path.write_text(serialize(affine_a(n)))
+    fast = _reduce_and_growth(n, ["--builtin", "affine-a", "--n", str(n)])
+    assert set(used) == {"certified_basis"}
+    used.clear()
+    assert _reduce_and_growth(n, ["--file", str(path)]) == fast
+    assert set(used) == {"complete"}
+    assert all(code == 0 and err == "" for code, _, err in fast)
+
+
+def test_affine_fast_path_reports_a_failed_certificate(monkeypatch):
+    full = affine_basis.g_families(2)
+    monkeypatch.setattr(affine_basis, "g_families",
+                        lambda n: RuleSet(full.rules[:-1], full.alphabet_size))
+    code, out, err = invoke("reduce", "--builtin", "affine-a", "--n", "2", "--word", "r0")
+    assert code == 1 and out == ""
+    assert err == "error: g_families(2) fails certificate check (d) is_gs_basis holds\n"
 
 
 def test_verify_match():

@@ -133,6 +133,13 @@ def test_membership_rejects_symbol_outside_alphabet(explicit2):
             query(b"\x01\x05", explicit2)
 
 
+def test_normal_form_rejects_symbol_outside_alphabet(explicit2):
+    # r1 r1 rewrites away, which must not hide the unknown symbol 9
+    for w in (b"\x09\x01\x01", b"\x01\x01\x03"):
+        with pytest.raises(RankMismatchError):
+            normal_form(w, explicit2)
+
+
 def test_index_follows_completion_live_rules():
     state = _Completion(2, max_rules=100, max_degree=10)
     state.add_equation(b"\x00\x00", b"")

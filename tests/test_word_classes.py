@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from affinegsb.affine_basis import g_families
 from affinegsb.rewriting import is_reduced, normal_form
 from affinegsb.word_classes import (
     ArrangedWord,
@@ -223,21 +224,21 @@ def test_classify_roundtrip(n, affine2_basis, affine3_basis):
         ]
 
 
-def test_classify_rejects_unreduced():
+def test_classify_rejects_unreduced(explicit2):
     with pytest.raises(NotReducedError) as exc:
-        classify(bytes([1, 1]), 2)
+        classify(bytes([1, 1]), 2, explicit2)
     assert exc.value.position == 0
     assert exc.value.rule.lhs == bytes([1, 1])
 
 
-def test_classify_reports_position():
+def test_classify_reports_position(explicit2):
     with pytest.raises(NotReducedError) as exc:
-        classify(bytes([2, 0, 0]), 2)
+        classify(bytes([2, 0, 0]), 2, explicit2)
     assert exc.value.position == 1
 
 
-def test_classify_empty_word():
-    c = classify(b"", 3)
+def test_classify_empty_word(explicit3):
+    c = classify(b"", 3, explicit3)
     assert c.r0free == b""
     assert c.arranged == empty_arranged(3)
 
@@ -247,8 +248,9 @@ def test_classify_inverts_enumeration(n, max_len, count):
     # classify recovers skeleton, exponents and chain, not only the word
     arranged = enumerate_arranged(n, max_len)
     assert len(arranged) == count
+    basis = g_families(n)
     for aw in arranged:
-        assert classify(aw.word(), n) == Classification(b"", aw)
+        assert classify(aw.word(), n, basis) == Classification(b"", aw)
 
 
 def test_marked_components_roundtrip_on_marked_seqs():
