@@ -52,13 +52,12 @@ def _load_presentation(args):
     raise CliError("one of --builtin or --file is required")
 
 
-def _basis(args, explicit=False):
-    """The presentation and its reduced basis, by completion unless
+def _basis(args, p, explicit=False):
+    """The reduced basis of presentation p, by completion unless
     ``explicit`` and built-in affine A: then the certified g1-g10 basis."""
-    p = _load_presentation(args)
     if explicit and args.builtin == "affine-a":
-        return p, certified_basis(args.n)
-    return p, complete(p.to_rules(), max_rules=args.max_rules, max_degree=args.max_degree)
+        return certified_basis(args.n)
+    return complete(p.to_rules(), max_rules=args.max_rules, max_degree=args.max_degree)
 
 
 def _nonneg_int(text):
@@ -90,7 +89,8 @@ def _add_source_flags(sub):
 
 
 def cmd_complete(args, out):
-    p, rs = _basis(args)
+    p = _load_presentation(args)
+    rs = _basis(args, p)
     basis = Presentation(p.alphabet, [(r.lhs, r.rhs) for r in rs.rules])
     if args.format == "json":
         payload = {
@@ -107,11 +107,12 @@ def cmd_complete(args, out):
 
 
 def cmd_reduce(args, out):
-    p, rs = _basis(args, explicit=True)
+    p = _load_presentation(args)
     try:
         w = p.alphabet.word(args.word)
     except WordSyntaxError as e:
         raise CliError(str(e)) from None
+    rs = _basis(args, p, explicit=True)
     out.write(p.alphabet.text(normal_form(w, rs)) + "\n")
     return 0
 
@@ -135,7 +136,7 @@ def cmd_verify(args, out):
 
 
 def cmd_growth(args, out):
-    _, rs = _basis(args, explicit=True)
+    rs = _basis(args, _load_presentation(args), explicit=True)
     series = count_reduced(rs, args.max_len)
     _emit_series(series, args.format, out)
     return 0

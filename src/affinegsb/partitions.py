@@ -9,6 +9,7 @@ cyclic shifts gives a bijection onto partitions in an n-by-n box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .word_classes import Block, InvalidSequenceError
 
@@ -166,18 +167,16 @@ def q_binomial(m, r):
 
 
 def box_partitions(n):
-    """All partitions in the n-by-n box, by direct enumeration."""
-    out = []
+    """All partitions in the n-by-n box, by direct enumeration.
 
-    def rec(prefix, bound):
-        if len(prefix) == n:
-            out.append(BoxPartition(n, tuple(prefix)))
-            return
-        for x in range(bound, -1, -1):
-            rec(prefix + [x], x)
+    The non-increasing n-tuples of parts 0..n, in reverse lexicographic
+    order (largest parts first).
+    """
+    return [BoxPartition(n, p) for p in _box_tuples(n)]
 
-    rec([], n)
-    return out
+
+def _box_tuples(n):
+    return combinations_with_replacement(range(n, -1, -1), n)
 
 
 def box_count(n, size):
@@ -187,4 +186,4 @@ def box_count(n, size):
     """
     if size < 0 or size > n * n:
         return 0
-    return sum(1 for p in box_partitions(n) if p.size == size)
+    return sum(1 for p in _box_tuples(n) if sum(p) == size)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rewriting import LeadingWordIndex
+from .rewriting import LeadingWordIndex, _outside_alphabet
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,22 @@ class TruncatedSeries:
         return TruncatedSeries.from_list(out, d)
 
     def div_exact(self, other):
-        """Exact series division; the divisor needs a unit constant term."""
+        """Exact series division; the divisor needs a unit constant term.
+
+        Sums only over the divisor's nonzero coefficients.
+        """
         d = min(self.degree, other.degree)
         c0 = other[0]
         if c0 == 0:
             raise ZeroDivisionError("divisor has zero constant term")
-        out = [0] * (d + 1)
+        terms = [(j, b) for j, b in enumerate(other.coefficients[1 : d + 1], 1) if b]
+        out = []
         for i in range(d + 1):
-            acc = self[i] - sum(out[j] * other[i - j] for j in range(i))
+            acc = self[i] - sum(out[i - j] * b for j, b in terms if j <= i)
             q, r = divmod(acc, c0)
             if r:
                 raise ValueError(f"division not exact at degree {i}")
-            out[i] = q
+            out.append(q)
         return TruncatedSeries.from_list(out, d)
 
     def tsv(self):
@@ -143,24 +147,32 @@ class FactorAutomaton:
 
     def accepts(self, w):
         s = self.start
-        for c in w:
-            s = self.table[s][c]
-            if s == self.dead:
-                return False
+        try:
+            for c in w:
+                s = self.table[s][c]
+                if s == self.dead:
+                    return False
+        except IndexError:
+            raise _outside_alphabet(w, self.alphabet_size) from None
         return True
 
     def count_by_length(self, max_len):
-        """Number of accepted words of each length 0..max_len, exact."""
-        counts = [0] * self.state_count
+        """Number of accepted words of each length 0..max_len, exact.
+
+        Follows only transitions between live states: the absorbing dead
+        state (the last row) is dropped with every transition into it.
+        """
+        dead = self.dead
+        targets = [[t for t in row if t != dead] for row in self.table[:dead]]
+        counts = [0] * dead
         counts[self.start] = 1
         out = [1]
         for _ in range(max_len):
-            nxt = [0] * self.state_count
+            nxt = [0] * dead
             for s, c in enumerate(counts):
                 if c:
-                    for t in self.table[s]:
+                    for t in targets[s]:
                         nxt[t] += c
-            nxt[self.dead] = 0
             counts = nxt
             out.append(sum(counts))
         return out

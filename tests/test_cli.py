@@ -93,6 +93,23 @@ def test_reduce_bad_word():
     assert "r9" in err
 
 
+@pytest.mark.parametrize("source", [["--builtin", "affine-a", "--n", "6"],
+                                    ["--builtin", "finite-a", "--n", "3"], None])
+def test_reduce_bad_word_builds_no_basis(source, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis built before the word was parsed")
+
+    monkeypatch.setattr(cli, "complete", refuse)
+    monkeypatch.setattr(cli, "certified_basis", refuse)
+    if source is None:
+        path = tmp_path / "affine.txt"
+        path.write_text(serialize(affine_a(2)))
+        source = ["--file", str(path)]
+    code, out, err = invoke("reduce", *source, "--word", "r1 r9")
+    assert code == 1 and out == ""
+    assert err == "error: unknown generator 'r9'\n"
+
+
 def _reduce_and_growth(n, source):
     # the identity, r0 r2 r0 and 20 seeded words, then the growth series
     rng = random.Random(n)

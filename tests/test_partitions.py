@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -164,6 +165,36 @@ def test_q_binomial_invalid():
 def test_box_partitions_count():
     for n in range(1, 5):
         assert len(box_partitions(n)) == math.comb(2 * n, n)
+
+
+def recursive_box_partitions(n):
+    """Reference enumeration: parts chosen left to right, largest first."""
+
+    def tuples(length, bound):
+        if length == 0:
+            yield ()
+            return
+        for x in range(bound, -1, -1):
+            for rest in tuples(length - 1, x):
+                yield (x,) + rest
+
+    return list(tuples(n, n))
+
+
+def test_box_partitions_order():
+    for n in range(7):
+        assert [p.parts for p in box_partitions(n)] == recursive_box_partitions(n), n
+
+
+def test_box_enumeration_leaves_no_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        box_partitions(4)
+        box_count(4, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_box_count_matches_q_binomial():

@@ -50,6 +50,19 @@ def test_div_exact_inverts_mul():
     assert (a * b).div_exact(b).coefficients == a.coefficients
 
 
+def test_div_exact_inverts_mul_with_sparse_divisors():
+    # divisors with constant term +-1 and interior zeros, as 1 - x^i
+    rng = random.Random(8)
+    for _ in range(200):
+        degree = rng.randint(0, 25)
+        a = TruncatedSeries.from_list(
+            [rng.randint(-9, 9) for _ in range(rng.randint(1, degree + 1))], degree)
+        b = [rng.choice((1, -1))] + [
+            rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(rng.randint(0, degree))]
+        b = TruncatedSeries.from_list(b, degree)
+        assert (a * b).div_exact(b) == a, (a, b)
+
+
 def test_div_exact_rejects_zero_constant():
     a = TruncatedSeries.one(3)
     with pytest.raises(ZeroDivisionError):
@@ -167,12 +180,30 @@ def _tables(auto):
     return auto.table, auto.start, auto.dead, auto.state_count
 
 
+def full_table_count(auto, max_len):
+    """Reference count: follows every transition, dead ones included."""
+    counts = [0] * auto.state_count
+    counts[auto.start] = 1
+    out = [1]
+    for _ in range(max_len):
+        nxt = [0] * auto.state_count
+        for s, c in enumerate(counts):
+            if c:
+                for t in auto.table[s]:
+                    nxt[t] += c
+        nxt[auto.dead] = 0
+        counts = nxt
+        out.append(sum(counts))
+    return out
+
+
 @pytest.mark.parametrize("name", REFERENCE_CASES)
 def test_automaton_matches_reference_on_bases(name):
     rs = REFERENCE_CASES[name]()
     words = sorted(rs.leading_words())
     auto = FactorAutomaton(words, rs.alphabet_size)
     assert _tables(auto) == naive_automaton(words, rs.alphabet_size)
+    assert auto.count_by_length(30) == full_table_count(auto, 30)
 
 
 def test_automaton_matches_reference_on_random_sets():
@@ -189,12 +220,26 @@ def test_automaton_matches_reference_on_random_sets():
         rng.shuffle(words)
         auto = FactorAutomaton(words, size)
         assert _tables(auto) == naive_automaton(words, size), (words, size)
+        assert auto.count_by_length(30) == full_table_count(auto, 30), (words, size)
 
 
 @pytest.mark.parametrize("forbidden", [[b"\x05"], [b"\x00", b"\x01\x02"]])
 def test_automaton_rejects_symbol_outside_alphabet(forbidden):
     with pytest.raises(RankMismatchError):
         FactorAutomaton(forbidden, 2)
+
+
+@pytest.mark.parametrize("w", [b"\x05", b"\x01\x02", b"\x01\x00\x09"])
+def test_accepts_rejects_symbol_outside_alphabet(w):
+    auto = FactorAutomaton([b"\x00\x00"], 2)
+    with pytest.raises(RankMismatchError):
+        auto.accepts(w)
+
+
+def test_count_when_every_transition_is_dead():
+    auto = FactorAutomaton([b"\x00", b"\x01"], 2)
+    assert auto.table == [[1, 1], [1, 1]]
+    assert auto.count_by_length(3) == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
@@ -205,8 +250,10 @@ def test_growth_of_explicit_basis_at_scale(n):
 
 
 def test_automaton_needs_forbidden_words():
-    # no forbidden word: one state, every word accepted
-    assert FactorAutomaton([], 2).count_by_length(3) == [1, 2, 4, 8]
+    # no forbidden word: one state, every word accepted, no dead transition
+    auto = FactorAutomaton([], 2)
+    assert auto.count_by_length(3) == [1, 2, 4, 8]
+    assert auto.count_by_length(30) == full_table_count(auto, 30)
     with pytest.raises(ValueError):
         FactorAutomaton([b""], 2)
 
