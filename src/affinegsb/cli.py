@@ -18,8 +18,6 @@ from .affine_basis import certified_basis, g_families, verify_explicit_basis
 from .partitions import (
     BasicPartition,
     BoxPartition,
-    basic_to_block,
-    block_to_basic,
     decompose,
     oplus,
     q_binomial,
@@ -34,7 +32,7 @@ from .word_classes import (
     enumerate_marked,
     r0free_enumerate,
 )
-from .words import WordSyntaxError
+from .words import WordSyntaxError, deglex_key
 
 
 class CliError(Exception):
@@ -52,10 +50,10 @@ def _load_presentation(args):
     raise CliError("one of --builtin or --file is required")
 
 
-def _basis(args, p, explicit=False):
-    """The reduced basis of presentation p, by completion unless
-    ``explicit`` and built-in affine A: then the certified g1-g10 basis."""
-    if explicit and args.builtin == "affine-a":
+def _basis(args, p):
+    """The reduced basis of presentation p: the certified g1-g10 basis
+    for built-in affine A, otherwise by completion."""
+    if args.builtin == "affine-a":
         return certified_basis(args.n)
     return complete(p.to_rules(), max_rules=args.max_rules, max_degree=args.max_degree)
 
@@ -72,7 +70,7 @@ def _nonneg_int(text):
 
 
 def _add_limit_flags(sub):
-    unused = "; unused by reduce/growth --builtin affine-a, which run no completion"
+    unused = "; unused by --builtin affine-a, which runs no completion"
     sub.add_argument("--max-rules", type=_nonneg_int, default=100000,
                      help="most rules completion may create, pruned ones included" + unused)
     sub.add_argument("--max-degree", type=_nonneg_int, default=64,
@@ -90,8 +88,8 @@ def _add_source_flags(sub):
 
 def cmd_complete(args, out):
     p = _load_presentation(args)
-    rs = _basis(args, p)
-    basis = Presentation(p.alphabet, [(r.lhs, r.rhs) for r in rs.rules])
+    rules = sorted(_basis(args, p).rules, key=lambda r: deglex_key(r.lhs))
+    basis = Presentation(p.alphabet, [(r.lhs, r.rhs) for r in rules])
     if args.format == "json":
         payload = {
             "generators": p.alphabet.names,
@@ -112,7 +110,7 @@ def cmd_reduce(args, out):
         w = p.alphabet.word(args.word)
     except WordSyntaxError as e:
         raise CliError(str(e)) from None
-    rs = _basis(args, p, explicit=True)
+    rs = _basis(args, p)
     out.write(p.alphabet.text(normal_form(w, rs)) + "\n")
     return 0
 
@@ -136,7 +134,7 @@ def cmd_verify(args, out):
 
 
 def cmd_growth(args, out):
-    rs = _basis(args, _load_presentation(args), explicit=True)
+    rs = _basis(args, _load_presentation(args))
     series = count_reduced(rs, args.max_len)
     _emit_series(series, args.format, out)
     return 0

@@ -1,7 +1,8 @@
 """Coxeter-type presentations and a line-oriented text format.
 
 A presentation is an alphabet (precedence = listed order, first
-greatest) plus a duplicate-free list of relations, each a pair of words.
+greatest) plus a list of relations, each a pair of words; ``parse``
+rejects a relation with equal sides or one given twice.
 Every built-in presentation comes from a Coxeter matrix: the finite
 type A is the path, the affine presentation the cycle.
 """
@@ -30,13 +31,6 @@ class PresentationError(ValueError):
 class Presentation:
     alphabet: Alphabet
     relations: list = field(default_factory=list)
-
-    def __post_init__(self):
-        seen = set()
-        for u, v in self.relations:
-            if (u, v) in seen:
-                raise PresentationError(f"duplicate relation {u!r} = {v!r}")
-            seen.add((u, v))
 
     def to_rules(self):
         """Orient each relation by deg-lex into a RuleSet."""
@@ -121,9 +115,12 @@ def parse(text):
     ``# comment`` and blank lines are ignored; the first content line
     must be ``generators: tok tok ...`` (precedence in listed order),
     followed by ``rel: w = w`` lines where an empty side is the identity.
+    A relation with equal sides, or one that repeats an earlier line in
+    either orientation, is an error.
     """
     alphabet = None
     rels = []
+    first_line = {}  # relation as an unordered pair -> line it was given on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -150,6 +147,13 @@ def parse(text):
             v = alphabet.word(right)
         except WordSyntaxError as e:
             raise PresentationError(str(e), lineno) from None
+        relation = f"relation {alphabet.text(u)} = {alphabet.text(v)}"
+        if u == v:
+            raise PresentationError(f"{relation} has equal sides", lineno)
+        key = frozenset((u, v))
+        if key in first_line:
+            raise PresentationError(f"{relation} repeats line {first_line[key]}", lineno)
+        first_line[key] = lineno
         rels.append((u, v))
     if alphabet is None:
         raise PresentationError("empty presentation: no generators line")

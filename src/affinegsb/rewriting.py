@@ -173,21 +173,8 @@ def normal_form(w, rs):
 
 
 def is_reduced(w, rs):
-    """True if no leading word of rs occurs in w.
-
-    One pass of ``rs.index`` over w that stops at the first match.
-    """
-    index = rs.index
-    goto, rule, suffix = index.goto, index.rule, index.suffix
-    s = 0
-    try:
-        for c in w:
-            s = goto[s][c]
-            if rule[s] >= 0 or suffix[s] >= 0:
-                return False
-    except IndexError:
-        raise _outside_alphabet(w, rs.alphabet_size) from None
-    return True
+    """True if no leading word of rs occurs in w."""
+    return find_first_forbidden(w, rs) is None
 
 
 def find_first_forbidden(w, rs):
@@ -391,18 +378,13 @@ def interreduce(rs):
 
     Drops rules whose lhs properly contains another retained lhs (or
     duplicates one) and reduces every rhs to normal form under the
-    retained rules.
+    retained rules.  One pass suffices: the retained lhs are fixed before
+    it, so a rhs irreducible under them is irreducible under the result.
     """
     kept = []
     for r in sorted(rs.rules, key=lambda r: (deglex_key(r.lhs), deglex_key(r.rhs))):
         if any(k.lhs in r.lhs for k in kept):
             continue
         kept.append(r)
-    while True:
-        base = RuleSet(kept, rs.alphabet_size)
-        reduced = []
-        for r in kept:
-            reduced.append(Rule(r.lhs, normal_form(r.rhs, base)))
-        if reduced == kept:
-            return base
-        kept = reduced
+    base = RuleSet(kept, rs.alphabet_size)
+    return RuleSet([Rule(r.lhs, normal_form(r.rhs, base)) for r in kept], rs.alphabet_size)

@@ -66,22 +66,17 @@ class Block:
         return self.l - self.k < -1
 
 
-def block_pair_reduced(w1, w2):
-    """Whether the two-block word w1 w2 is reduced, by the (k,l,p,q) case table."""
-    if w1.n != w2.n:
-        raise InvalidSequenceError("blocks have different ranks")
-    k, l = w1.k, w1.l
-    p, q = w2.k, w2.l
-    d1 = l - k
-    d2 = q - p
-    if d2 < d1 < -1:
-        return k < p and l > q
-    if d2 < -1 <= d1:
-        return k <= p and l > q
-    if d1 >= d2 >= -1:
-        # equality (d1 == d2) only survives for a repeated block, i.e. a square
-        return k <= p and l >= q
-    return False
+def _walk(n, steps):
+    """The blocks visited from Block(n, 2, n) by a vector of K_STEPs and L_STEPs."""
+    k, l = 2, n
+    out = [Block(n, k, l)]
+    for s in steps:
+        if s == K_STEP:
+            k += 1
+        else:
+            l -= 1
+        out.append(Block(n, k, l))
+    return tuple(out)
 
 
 def skeletons(n):
@@ -91,17 +86,7 @@ def skeletons(n):
     each either K_STEP or L_STEP, ending at a position-1 component with
     l - k = -1.  Returned as tuples of Blocks, position n first.
     """
-    out = []
-    for steps in itertools.product((K_STEP, L_STEP), repeat=n - 1):
-        chain = [Block(n, 2, n)]
-        for s in steps:
-            prev = chain[-1]
-            if s == K_STEP:
-                chain.append(Block(n, prev.k + 1, prev.l))
-            else:
-                chain.append(Block(n, prev.k, prev.l - 1))
-        out.append(tuple(chain))
-    return out
+    return [_walk(n, steps) for steps in itertools.product((K_STEP, L_STEP), repeat=n - 1)]
 
 
 def _steps_of(chain):
@@ -117,16 +102,14 @@ def _steps_of(chain):
     return steps
 
 
+def _strictly_monotone(blocks):
+    """k strictly rises and l strictly falls along the blocks."""
+    return all(a.k < b.k and a.l > b.l for a, b in zip(blocks, blocks[1:]))
+
+
 def _chain_ok(chain):
     """Validate a tail chain: strictly widening blocks, all tail-type."""
-    if not chain:
-        return True
-    if not chain[0].is_tail_type():
-        return False
-    for a, b in zip(chain, chain[1:]):
-        if not (b.k > a.k and b.l < a.l):
-            return False
-    return True
+    return not chain or (chain[0].is_tail_type() and _strictly_monotone(chain))
 
 
 def _head(chain):
@@ -157,17 +140,13 @@ def _monotone_seqs(n, max_len):
     """All block sequences of total length <= max_len, the empty one included,
     with k strictly rising and l strictly falling, l < n throughout."""
     blocks = [Block(n, k, l) for k in range(2, n + 2) for l in range(n)]
-    out = [()]
-
-    def extend(seq, remaining):
+    # (sequence, length left); the loop visits the pairs it appends
+    grown = [((), max_len)]
+    for seq, room in grown:
         for b in blocks:
-            if len(b) <= remaining and (not seq or (b.k > seq[-1].k and b.l < seq[-1].l)):
-                nxt = seq + (b,)
-                out.append(nxt)
-                extend(nxt, remaining - len(b))
-
-    extend((), max_len)
-    return out
+            if len(b) <= room and _strictly_monotone(seq[-1:] + (b,)):
+                grown.append((seq + (b,), room - len(b)))
+    return [seq for seq, _ in grown]
 
 
 def _split_tail(blocks):
@@ -184,26 +163,19 @@ def _skeleton_through(n, comps, p):
     descends to position 1 without a new mark either: all K_STEPs if the
     tail head's p allows it, otherwise K_STEPs that stop exactly at k = p.
     """
-    skel = [Block(n, 2, n)]
-
-    def fill_to(k, l):
-        cur = skel[-1]
-        skel.extend(Block(n, kk, cur.l) for kk in range(cur.k + 1, k + 1))
-        cur = skel[-1]
-        skel.extend(Block(n, cur.k, ll) for ll in range(cur.l - 1, l - 1, -1))
-
+    k, l = 2, n
+    steps = []
     for b in comps:
-        fill_to(b.k, b.l)
-        if skel[-1] != b:
+        if b.n != n or b.k < k or b.l > l:
             raise InvalidSequenceError(f"block {b} unreachable in skeleton")
-    last = skel[-1]
-    if p > last.l:
-        fill_to(last.l + 1, last.l)
-    else:
-        fill_to(p, p - 1)
-    if len(skel) != n:
+        steps += [K_STEP] * (b.k - k) + [L_STEP] * (l - b.l)
+        k, l = b.k, b.l
+    k_end, l_end = (l + 1, l) if p > l else (p, p - 1)
+    # past k_end already (a tail-shaped block among comps): no K_STEP
+    steps += [K_STEP] * (k_end - k) + [L_STEP] * (l - l_end)
+    if len(steps) != n - 1:
         raise InvalidSequenceError("blocks do not fill a skeleton")
-    return tuple(skel)
+    return _walk(n, steps)
 
 
 @dataclass(frozen=True)
@@ -261,13 +233,6 @@ class ArrangedWord:
         return u + sum(len(b) for b in self.chain)
 
 
-def empty_arranged(n):
-    """The arranged word expanding to the identity."""
-    # the all-K_STEP skeleton is the only one valid with all exponents 0
-    skel = tuple(Block(n, k, n) for k in range(2, n + 2))
-    return ArrangedWord(n, skel, (0,) * n, ())
-
-
 def enumerate_arranged(n, max_len):
     """All arranged words of expanded length <= max_len, no duplicates."""
     # tail chains: the monotone sequences that start with a tail-type block
@@ -289,21 +254,16 @@ def enumerate_arranged(n, max_len):
 def _exponent_vectors(skel, required, budget):
     """All exponent tuples with required positions >= 1 and total length <= budget."""
     n = len(skel)
-    lens = [len(b) for b in skel]
-
-    def rec(idx, remaining, acc):
-        if idx == n:
-            yield tuple(acc)
-            return
-        pos = n - idx
-        m = 1 if pos in required else 0
-        while m * lens[idx] <= remaining:
-            acc.append(m)
-            yield from rec(idx + 1, remaining - m * lens[idx], acc)
-            acc.pop()
-            m += 1
-
-    yield from rec(0, budget, [])
+    # (exponents of the first idx positions, length left)
+    vectors = [((), budget)]
+    for idx, b in enumerate(skel):
+        low, size = (1 if n - idx in required else 0), len(b)
+        vectors = [
+            (acc + (m,), room - m * size)
+            for acc, room in vectors
+            for m in range(low, room // size + 1)
+        ]
+    return [acc for acc, _ in vectors]
 
 
 def r0free_enumerate(n, max_len):
@@ -339,9 +299,8 @@ class MarkedSeq:
     chain: tuple
 
     def __post_init__(self):
-        for a, b in zip(self.marks, self.marks[1:]):
-            if not (a.k < b.k and a.l > b.l):
-                raise InvalidSequenceError("marks must have increasing k, decreasing l")
+        if not _strictly_monotone(self.marks):
+            raise InvalidSequenceError("marks must have increasing k, decreasing l")
         for b in self.marks:
             if b.is_tail_type():
                 raise InvalidSequenceError("marks must be component-shaped blocks")
@@ -349,11 +308,9 @@ class MarkedSeq:
                 raise InvalidSequenceError("mark l must be < n")
         if not _chain_ok(self.chain):
             raise InvalidSequenceError("invalid tail chain")
-        if self.marks:
-            last = self.marks[-1]
-            p, q = _head(self.chain)
-            if not (last.k < p and q < last.l):
-                raise InvalidSequenceError("last mark incompatible with tail head")
+        # the empty chain, a formal identity, fits every last mark
+        if not _strictly_monotone((*self.marks[-1:], *self.chain[:1])):
+            raise InvalidSequenceError("last mark incompatible with tail head")
 
     def word(self):
         return b"".join(b.word() for b in self.marks) + b"".join(

@@ -57,6 +57,14 @@ def test_complete_limit_is_one_line_error(tmp_path):
     assert err == "error: ambiguity degree 13 exceeds limit 12\n"
 
 
+def test_complete_repeated_relation_is_one_line_error(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("generators: a b\nrel: a b = b a\nrel: b a = a b\n")
+    code, out, err = invoke("complete", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: line 3: relation b a = a b repeats line 2\n"
+
+
 def test_complete_missing_source():
     code, out, err = invoke("complete")
     assert code == 1
@@ -110,15 +118,16 @@ def test_reduce_bad_word_builds_no_basis(source, tmp_path, monkeypatch):
     assert err == "error: unknown generator 'r9'\n"
 
 
-def _reduce_and_growth(n, source):
-    # the identity, r0 r2 r0 and 20 seeded words, then the growth series
+def _outputs(n, source):
+    # the identity, r0 r2 r0 and 20 seeded words, the growth series and the basis
     rng = random.Random(n)
     words = ["1", "r0 r2 r0"] + [
         " ".join(f"r{rng.randrange(n + 1)}" for _ in range(rng.randrange(1, 16)))
         for _ in range(20)
     ]
     runs = [invoke("reduce", *source, "--word", w) for w in words]
-    return runs + [invoke("growth", *source, "--max-len", "12")]
+    runs.append(invoke("growth", *source, "--max-len", "12"))
+    return runs + [invoke("complete", *source, "--format", fmt) for fmt in ("tsv", "json")]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -141,10 +150,10 @@ def test_affine_fast_path_prints_what_completion_prints(n, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "certified_basis", once(cli.certified_basis))
     path = tmp_path / "affine.txt"
     path.write_text(serialize(affine_a(n)))
-    fast = _reduce_and_growth(n, ["--builtin", "affine-a", "--n", str(n)])
+    fast = _outputs(n, ["--builtin", "affine-a", "--n", str(n)])
     assert set(used) == {"certified_basis"}
     used.clear()
-    assert _reduce_and_growth(n, ["--file", str(path)]) == fast
+    assert _outputs(n, ["--file", str(path)]) == fast
     assert set(used) == {"complete"}
     assert all(code == 0 and err == "" for code, _, err in fast)
 

@@ -162,6 +162,20 @@ def test_parse_unknown_token_names_line():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("generators: a b\nrel: a b = b a\nrel: b a = a b\n", 3,
+     "line 3: relation b a = a b repeats line 2"),
+    ("generators: a b\n# twice\nrel: a a =\nrel: a a =\n", 4,
+     "line 4: relation a a = 1 repeats line 3"),
+    ("generators: a b\nrel: a = a\n", 2, "line 2: relation a = a has equal sides"),
+])
+def test_parse_rejects_repeated_or_trivial_relation(text, line, message):
+    with pytest.raises(PresentationError) as exc:
+        parse(text)
+    assert exc.value.line == line
+    assert str(exc.value) == message
+
+
 def test_parse_missing_generators_line():
     with pytest.raises(PresentationError):
         parse("rel: a a =")

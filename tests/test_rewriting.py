@@ -306,6 +306,24 @@ def test_interreduce_drops_contained_lhs():
     assert result.rules == (Rule(b"\x00\x00", b""),)
 
 
+def test_interreduce_leaves_every_rhs_irreducible():
+    # one pass suffices: the rhs it returns are normal under the result,
+    # so a second pass would return the same rules
+    rng = random.Random(9)
+    for _ in range(2000):
+        size = rng.randint(2, 4)
+        rules = {}
+        for _ in range(rng.randint(1, 8)):
+            u = bytes(rng.randrange(size) for _ in range(rng.randint(1, 5)))
+            v = bytes(rng.randrange(size) for _ in range(rng.randint(0, len(u))))
+            if u != v:
+                r = make_rule(u, v)
+                rules.setdefault(r.lhs, r)
+        result = interreduce(RuleSet(list(rules.values()), size))
+        assert all(is_reduced(r.rhs, result) for r in result.rules)
+        assert interreduce(result).rules == result.rules
+
+
 def test_interreduce_matches_explicit_count(affine3_basis, explicit3):
     assert len(affine3_basis) == len(explicit3)
 

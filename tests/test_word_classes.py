@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -11,9 +12,7 @@ from affinegsb.word_classes import (
     InvalidSequenceError,
     MarkedSeq,
     NotReducedError,
-    block_pair_reduced,
     classify,
-    empty_arranged,
     enumerate_arranged,
     enumerate_marked,
     marked_components,
@@ -50,18 +49,6 @@ def test_block_validation():
         Block(3, 2, 4)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_block_pair_reduced_matches_engine(n, affine2_basis, affine3_basis):
-    basis = affine2_basis if n == 2 else affine3_basis
-    blocks = [
-        Block(n, k, l) for k in range(2, n + 2) for l in range(0, n + 1)
-    ]
-    for b1 in blocks:
-        for b2 in blocks:
-            expected = is_reduced(b1.word() + b2.word(), basis)
-            assert block_pair_reduced(b1, b2) == expected, (b1, b2)
-
-
 @pytest.mark.parametrize("n", range(2, 8))
 def test_skeleton_count(n):
     assert len(skeletons(n)) == 2 ** (n - 1)
@@ -89,7 +76,9 @@ def test_skeletons_distinct():
 
 
 def test_empty_arranged():
-    aw = empty_arranged(3)
+    aw = rebuild(MarkedSeq(3, (), ()))
+    # the all-K_STEP skeleton is the only one valid with all exponents 0
+    assert aw.skeleton == (Block(3, 2, 3), Block(3, 3, 3), Block(3, 4, 3))
     assert aw.word() == b""
     assert len(aw) == 0
     assert aw.marked_positions() == []
@@ -240,7 +229,7 @@ def test_classify_reports_position(explicit2):
 def test_classify_empty_word(explicit3):
     c = classify(b"", 3, explicit3)
     assert c.r0free == b""
-    assert c.arranged == empty_arranged(3)
+    assert c.arranged == rebuild(MarkedSeq(3, (), ()))
 
 
 @pytest.mark.parametrize("n,max_len,count", [(2, 14, 64), (3, 12, 102), (4, 11, 121)])
@@ -283,6 +272,11 @@ def test_marked_seq_validation():
         MarkedSeq(3, (Block(3, 2, 3),), ())  # l = n not allowed for a mark
 
 
+def test_rebuild_rejects_mark_of_other_rank():
+    with pytest.raises(InvalidSequenceError, match="unreachable in skeleton"):
+        rebuild(MarkedSeq(3, (Block(4, 3, 2),), ()))
+
+
 def test_enumerate_marked_lengths():
     seqs = enumerate_marked(2, 8)
     lengths = sorted(len(m) for m in seqs)
@@ -300,3 +294,14 @@ def test_classify_agrees_with_normal_form(affine2_basis):
         nf = normal_form(w, affine2_basis)
         c = classify(nf, 2, basis=affine2_basis)
         assert c.r0free + c.arranged.word() == nf
+
+
+def test_enumeration_leaves_no_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_arranged(3, 8)
+        enumerate_marked(3, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
