@@ -91,8 +91,6 @@ def _g_rules(n):
 
 def g_families(n):
     """The full explicit rule set (defining relations plus g1-g10) at rank n."""
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
     defining = affine_a(n).to_rules()
     return RuleSet([*defining.rules, *_g_rules(n)], defining.alphabet_size)
 

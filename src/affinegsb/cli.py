@@ -10,6 +10,7 @@ tuples.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -32,11 +33,7 @@ from .word_classes import (
     enumerate_marked,
     r0free_enumerate,
 )
-from .words import WordSyntaxError, deglex_key
-
-
-class CliError(Exception):
-    """Domain error: reported on stderr with exit code 1."""
+from .words import deglex_key
 
 
 def _load_presentation(args):
@@ -47,7 +44,7 @@ def _load_presentation(args):
         return affine_a(args.n)
     if args.builtin == "finite-a":
         return finite_a(args.n)
-    raise CliError("one of --builtin or --file is required")
+    raise ValueError("one of --builtin or --file is required")
 
 
 def _basis(args, p):
@@ -106,10 +103,7 @@ def cmd_complete(args, out):
 
 def cmd_reduce(args, out):
     p = _load_presentation(args)
-    try:
-        w = p.alphabet.word(args.word)
-    except WordSyntaxError as e:
-        raise CliError(str(e)) from None
+    w = p.alphabet.word(args.word)
     rs = _basis(args, p)
     out.write(p.alphabet.text(normal_form(w, rs)) + "\n")
     return 0
@@ -153,14 +147,11 @@ def _emit_series(series, fmt, out):
 def cmd_classify(args, out):
     n = args.n
     alphabet = affine_a(n).alphabet
-    try:
-        w = alphabet.word(args.word)
-    except WordSyntaxError as e:
-        raise CliError(str(e)) from None
+    w = alphabet.word(args.word)
     try:
         c = classify(w, n, g_families(n))
     except NotReducedError as e:
-        raise CliError(
+        raise ValueError(
             f"not reduced: factor {alphabet.text(e.rule.lhs)!r} at position {e.position}"
         ) from None
     out.write(f"r0free: {alphabet.text(c.r0free)}\n")
@@ -203,7 +194,7 @@ def _parse_tuple(text):
     try:
         return tuple(int(t) for t in text.split(",") if t.strip() != "")
     except ValueError:
-        raise CliError(f"cannot parse tuple {text!r}") from None
+        raise ValueError(f"cannot parse tuple {text!r}") from None
 
 
 def cmd_bijection(args, out):
@@ -212,10 +203,7 @@ def cmd_bijection(args, out):
         # box partition -> connected sequence of basic partitions
         parts = _parse_tuple(args.input)
         parts = parts + (0,) * (n - len(parts))
-        try:
-            seq = decompose(BoxPartition(n, parts))
-        except ValueError as e:
-            raise CliError(str(e)) from None
+        seq = decompose(BoxPartition(n, parts))
         out.write(";".join(",".join(map(str, bp.tuple())) for bp in seq) + "\n")
     else:
         # connected sequence (";"-separated basic partitions) -> box partition;
@@ -223,19 +211,11 @@ def cmd_bijection(args, out):
         seq = []
         for chunk in args.input.split(";") if args.input.strip() else []:
             t = _parse_tuple(chunk)
-            k = t[0] if t else 0
-            ones = sum(1 for x in t[1:] if x == 1)
-            try:
-                bp = BasicPartition(n, k, ones)
-            except ValueError as e:
-                raise CliError(str(e)) from None
+            bp = BasicPartition(n, t[0] if t else 0, t[1:].count(1))
             if bp.tuple() != t + (0,) * (n - len(t)):
-                raise CliError(f"{chunk!r} is not a basic partition")
+                raise ValueError(f"{chunk!r} is not a basic partition")
             seq.append(bp)
-        try:
-            box = oplus(seq) if seq else BoxPartition(n, (0,) * n)
-        except ValueError as e:
-            raise CliError(str(e)) from None
+        box = oplus(seq) if seq else BoxPartition(n, (0,) * n)
         out.write(",".join(map(str, box.parts)) + "\n")
     return 0
 
@@ -296,17 +276,21 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # usage errors and --help go to the streams passed in
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (CliError, CompletionLimitError, ValueError, OSError) as e:
+    except (CompletionLimitError, ValueError, OSError) as e:
         err.write(f"error: {e}\n")
         return 1
 

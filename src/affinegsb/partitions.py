@@ -90,11 +90,6 @@ def basic_to_block(bp):
     return Block(bp.n, bp.n + 2 - bp.k, bp.l)
 
 
-def _shift(t):
-    # cyclic shift right: last entry moves to the front
-    return (t[-1],) + t[:-1]
-
-
 def oplus(seq):
     """Sum of iterated cyclic shifts of a connected sequence.
 
@@ -109,9 +104,8 @@ def oplus(seq):
     total = (0,) * n
     for i, bp in enumerate(seq):
         t = bp.tuple()
-        for _ in range(i):
-            t = _shift(t)
-        total = tuple(x + y for x, y in zip(total, t))
+        # shifted right i times, cyclically: the last i entries come first
+        total = tuple(x + y for x, y in zip(total, t[n - i:] + t[:n - i]))
     return BoxPartition(n, total)
 
 

@@ -58,8 +58,7 @@ class Block:
         return b"\x00" + r_range(n, self.k, n) + r_range(1, self.l, n)
 
     def __len__(self):
-        middle = self.n - self.k + 1 if self.k <= self.n else 0
-        return 1 + middle + self.l
+        return self.n + 2 - self.k + self.l
 
     def is_tail_type(self):
         # tail blocks are the ones with q - p < -1 (short ascending run)
@@ -166,7 +165,7 @@ def _skeleton_through(n, comps, p):
     k, l = 2, n
     steps = []
     for b in comps:
-        if b.n != n or b.k < k or b.l > l:
+        if b.k < k or b.l > l:
             raise InvalidSequenceError(f"block {b} unreachable in skeleton")
         steps += [K_STEP] * (b.k - k) + [L_STEP] * (l - b.l)
         k, l = b.k, b.l
@@ -193,6 +192,8 @@ class ArrangedWord:
     chain: tuple
 
     def __post_init__(self):
+        if any(b.n != self.n for b in (*self.skeleton, *self.chain)):
+            raise InvalidSequenceError(f"blocks must have rank {self.n}")
         if len(self.skeleton) != self.n or len(self.exponents) != self.n:
             raise InvalidSequenceError("skeleton and exponents must have length n")
         if self.skeleton[0] != Block(self.n, 2, self.n):
@@ -299,6 +300,8 @@ class MarkedSeq:
     chain: tuple
 
     def __post_init__(self):
+        if any(b.n != self.n for b in (*self.marks, *self.chain)):
+            raise InvalidSequenceError(f"blocks must have rank {self.n}")
         if not _strictly_monotone(self.marks):
             raise InvalidSequenceError("marks must have increasing k, decreasing l")
         for b in self.marks:
@@ -361,23 +364,10 @@ def _parse_blocks(w, n):
     blocks = []
     for s, e in zip(starts, starts[1:]):
         seg = w[s + 1:e]
-        # descending run from rn, then ascending run from r1
-        i = 0
-        k = n + 1
-        if i < len(seg) and seg[i] == n:
-            k = n
-            i += 1
-            while i < len(seg) and seg[i] == seg[i - 1] - 1 and seg[i] >= 2:
-                k = seg[i]
-                i += 1
-        l = 0
-        if i < len(seg) and seg[i] == 1:
-            l = 1
-            i += 1
-            while i < len(seg) and seg[i] == seg[i - 1] + 1:
-                l = seg[i]
-                i += 1
-        if i != len(seg):
+        # rn..rk ends where r1..rl starts: at the first r1, or at the end
+        cut = (seg + b"\x01").index(1)
+        k, l = n + 1 - cut, len(seg) - cut
+        if k < 2 or l > n or seg != r_range(n, k, n) + r_range(1, l, n):
             raise InvalidSequenceError(
                 f"segment at position {s} is not a block: {seg!r}"
             )

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -339,8 +340,28 @@ def test_missing_required_flag():
     ("qbinom", "--m", "-2", "--r", "0"),
 ])
 def test_negative_or_malformed_count_is_usage_error(argv):
-    code, out, _ = invoke(*argv)
+    code, out, err = invoke(*argv)
     assert code == 2 and out == ""
+    # the bad value is the one that is negative or not a number
+    i = next(i for i, a in enumerate(argv) if a == "two" or a[:1] == "-" and a[1:].isdigit())
+    assert f"argument {argv[i - 1]}: expected a non-negative integer, got {argv[i]!r}" in err
+
+
+def test_help_goes_to_the_given_stream():
+    code, out, err = invoke("--help")
+    assert code == 0 and out.startswith("usage: affinegsb") and err == ""
+
+
+def test_run_leaves_no_garbage():
+    invoke("growth", "--builtin", "affine-a", "--n", "2", "--max-len", "6")
+    gc.collect()
+    gc.disable()
+    try:
+        assert invoke("growth", "--builtin", "affine-a", "--n", "2", "--max-len", "6")[0] == 0
+        assert invoke("reduce", "--builtin", "affine-a", "--n", "2", "--word", "r9")[0] == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", ["0", "1"])

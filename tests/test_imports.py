@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,53 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_modules_read_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _loads(node):
+    """How often each name is read under node, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def dead_private_names(sources):
+    """Module-level private functions, classes and assignments that no code
+    outside their own definition reads, in order of definition."""
+    trees = [ast.parse(source) for source in sources]
+    read = sum((_loads(tree) for tree in trees), Counter())
+    dead = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                name for name in names
+                if name.startswith("_") and not name.endswith("__")
+                and read[name] == _loads(node)[name]
+            ]
+    return dead
+
+
+def test_dead_private_names_are_found():
+    sources = [
+        "__all__ = ['f']\n"
+        "_LIMIT = 3\n"
+        "def _rec(x):\n    return _rec(x - 1)\n"
+        "def _dead():\n    pass\n"
+        "class _Used:\n    pass\n",
+        "from .a import _LIMIT, _Used\n"
+        "def f():\n    return _Used(), a._dead_attr_is_not_a_definition, _LIMIT\n",
+    ]
+    assert dead_private_names(sources) == ["_rec", "_dead"]
+
+
+def test_library_reads_every_private_name():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert dead_private_names(sources) == []

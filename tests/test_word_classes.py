@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from affinegsb.word_classes import (
     InvalidSequenceError,
     MarkedSeq,
     NotReducedError,
+    _parse_blocks,
     classify,
     enumerate_arranged,
     enumerate_marked,
@@ -273,8 +275,36 @@ def test_marked_seq_validation():
 
 
 def test_rebuild_rejects_mark_of_other_rank():
-    with pytest.raises(InvalidSequenceError, match="unreachable in skeleton"):
-        rebuild(MarkedSeq(3, (Block(4, 3, 2),), ()))
+    with pytest.raises(InvalidSequenceError, match="rank 3"):
+        MarkedSeq(3, (Block(4, 3, 2),), ())
+
+
+def test_arranged_word_rejects_blocks_of_other_rank():
+    skel = skeletons(3)[0]
+    middle = skel[1]
+    # same k and l, so the K/L steps alone cannot tell the ranks apart
+    other = skel[:1] + (Block(4, middle.k, middle.l),) + skel[2:]
+    with pytest.raises(InvalidSequenceError, match="rank 3"):
+        ArrangedWord(3, other, (1, 1, 1), ())
+    with pytest.raises(InvalidSequenceError, match="rank 3"):
+        ArrangedWord(3, skel, (1, 1, 1), (Block(4, 5, 0),))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_parse_blocks_accepts_exactly_the_block_words(n):
+    words = {
+        Block(n, k, l).word(): Block(n, k, l)
+        for k in range(2, n + 2)
+        for l in range(n + 1)
+    }
+    for size in range(n + 3):
+        for seg in itertools.product(range(1, n + 1), repeat=size):
+            w = b"\x00" + bytes(seg)
+            if w in words:
+                assert _parse_blocks(w, n) == [words[w]]
+            else:
+                with pytest.raises(InvalidSequenceError, match="at position 0 "):
+                    _parse_blocks(w, n)
 
 
 def test_enumerate_marked_lengths():
