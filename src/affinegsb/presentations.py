@@ -112,8 +112,9 @@ def finite_a(n):
 def parse(text):
     """Parse the presentation file format.
 
-    ``# comment`` and blank lines are ignored; the first content line
-    must be ``generators: tok tok ...`` (precedence in listed order),
+    Everything from a ``#`` to the end of its line is a comment, and
+    blank lines are ignored; the first content line must be
+    ``generators: tok tok ...`` (precedence in listed order),
     followed by ``rel: w = w`` lines where an empty side is the identity.
     A relation with equal sides, or one that repeats an earlier line in
     either orientation, is an error.
@@ -122,8 +123,8 @@ def parse(text):
     rels = []
     first_line = {}  # relation as an unordered pair -> line it was given on
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if alphabet is None:
             if not line.startswith("generators:"):

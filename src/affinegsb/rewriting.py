@@ -269,12 +269,29 @@ def composition_remainder(amb, rs):
     return make_rule(x, y)
 
 
-def is_gs_basis(rs):
-    """Check confluence by exhaustive composition of all ambiguities.
+def _composite(amb, rules, rs):
+    """True if amb is an intersection whose word has a leading word of rs
+    strictly inside (touching neither end).
 
-    Returns (True, []) or (False, witnesses) with the failing ambiguities.
+    Its composition then follows from the two shorter ambiguities of that
+    leading word with lhs_i and lhs_j, so it is trivial modulo its word
+    once they are (Kapur, Musser & Narendran, JSC 1988).  Inclusions are
+    never composite.
     """
-    witnesses = [a for a in ambiguities(rs) if composition_remainder(a, rs) is not None]
+    return len(amb.word) > len(rules[amb.i].lhs) and not is_reduced(amb.word[1:-1], rs)
+
+
+def is_gs_basis(rs):
+    """Check confluence by composing every ambiguity that is not composite.
+
+    Returns (True, []) or (False, witnesses) with the failing prime
+    ambiguities.  The flag is the same as if every ambiguity were
+    composed: by induction on the length of the word, a composite one is
+    trivial modulo its word once all shorter ones are, and a confluent
+    basis makes every composition trivial.
+    """
+    witnesses = [a for a in ambiguities(rs)
+                 if not _composite(a, rs.rules, rs) and composition_remainder(a, rs) is not None]
     return (not witnesses, witnesses)
 
 
@@ -289,8 +306,12 @@ class _Completion:
     built over an earlier ``live`` is ever used for the new one.
 
     Invariant: the ambiguities of every pair of live rules are queued when
-    the later of the two is added.  So once ``drain`` has emptied the
-    queue, every composition of the live rules is trivial and they form a
+    the later of the two is added.  ``drain`` skips an ambiguity that is
+    composite with respect to the live rules: the two ambiguities through
+    the inner leading word are shorter, so the heap popped them first, and
+    if the inner rule is pruned later, the lhs that pruned it is a factor
+    of its lhs and still inside.  So once ``drain`` has emptied the queue,
+    every composition of the live rules is trivial and they form a
     Groebner-Shirshov basis; ``complete`` still certifies its
     interreduction.
     """
@@ -341,7 +362,8 @@ class _Completion:
     def drain(self):
         while self.pending:
             _, amb = heapq.heappop(self.pending)
-            if self.rules[amb.i] is None or self.rules[amb.j] is None:
+            if (self.rules[amb.i] is None or self.rules[amb.j] is None
+                    or _composite(amb, self.rules, self.live)):
                 continue
             x, y = _descendants(amb, self.rules, self.live)
             if x != y:

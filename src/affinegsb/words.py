@@ -24,7 +24,9 @@ class Alphabet:
     """Translates between symbol names and ids.
 
     ``names`` is listed in precedence order, greatest first, so the id of
-    a symbol equals its precedence rank.
+    a symbol equals its precedence rank.  A name must print and parse
+    back as itself: one nonempty token, not ``1`` (the identity) and
+    without ``=`` or ``#`` (reserved by the presentation file format).
     """
 
     def __init__(self, names):
@@ -35,6 +37,9 @@ class Alphabet:
             raise ValueError("alphabet must be nonempty")
         if len(names) > 255:
             raise ValueError("alphabet too large")
+        for name in names:
+            if name == "1" or name.split() != [name] or "=" in name or "#" in name:
+                raise ValueError(f"invalid generator name {name!r}")
         self.names = names
         self._ids = {name: i for i, name in enumerate(names)}
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,9 +13,12 @@ import pytest
 
 from affinegsb import affine_basis, cli
 from affinegsb.cli import run
-from affinegsb.presentations import affine_a, serialize
+from affinegsb.presentations import affine_a, parse, serialize
 from affinegsb.rewriting import Rule, RuleSet
 from affinegsb.words import affine_alphabet
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(*argv):
@@ -384,3 +388,31 @@ def test_entry_point_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0\t1", "1\t1"]
+
+
+def readme_block(heading):
+    """The body of the first fenced block under a '## ' heading of README.md."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_examples_run_as_shown():
+    # each command of "Command line" exits 0 and prints every "# -> ..."
+    # line under it; the file-format example parses as written
+    examples = []
+    for line in readme_block("Command line").splitlines():
+        if line.startswith("affinegsb "):
+            examples.append((shlex.split(line)[1:], []))
+        elif line.startswith("# -> "):
+            examples[-1][1].append(line[len("# -> "):])
+    assert any(expected for _, expected in examples)
+    for argv, expected in examples:
+        if "mygroup.txt" in argv:
+            continue  # a placeholder path
+        code, out, err = invoke(*argv)
+        assert code == 0, (argv, err)
+        for line in expected:
+            assert line in out.splitlines(), (argv, line, out)
+    p = parse(readme_block("Presentation file format"))
+    assert p.alphabet.names == ["a", "b", "c"]
+    assert len(p.relations) == 3

@@ -155,6 +155,22 @@ def test_parse_comments_and_blanks():
     assert len(p.relations) == 1
 
 
+def test_parse_inline_comments():
+    text = ("generators: a b   # first listed is greatest\n"
+            "rel: a a =        # identity # and more\n"
+            "rel: a b = b a#no space\n")
+    p = parse(text)
+    assert p.alphabet.names == ["a", "b"]
+    assert p.relations == [(b"\x00\x00", b""), (b"\x00\x01", b"\x01\x00")]
+
+
+@pytest.mark.parametrize("names", ["1 a", "a b=c"])
+def test_parse_invalid_generator_name_names_line(names):
+    with pytest.raises(PresentationError, match="invalid generator name") as exc:
+        parse(f"# header\ngenerators: {names}\nrel: a a =\n")
+    assert exc.value.line == 2
+
+
 def test_parse_unknown_token_names_line():
     with pytest.raises(PresentationError) as exc:
         parse("generators: a b\nrel: a b = b a c")

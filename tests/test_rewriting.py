@@ -21,6 +21,7 @@ from affinegsb.rewriting import (
     reduce_once,
     _Completion,
 )
+from affinegsb.series import count_reduced
 from affinegsb.words import RankMismatchError, deglex_key
 
 INVOLUTION = RuleSet([Rule(b"\x00\x00", b"")], 1)
@@ -270,11 +271,23 @@ def test_complete_prunes_rule_whose_lhs_contains_new_lhs(relations):
     assert result.rules == complete(reversed_rs).rules
 
 
+def coxeter_rules(entries):
+    return from_coxeter_matrix(CoxeterMatrix(entries)).to_rules()
+
+
+# finite types whose completed bases have composite ambiguities
+H3 = coxeter_rules(((1, 5, 2), (5, 1, 3), (2, 3, 1)))
+F4 = coxeter_rules(((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)))
+I2_7 = coxeter_rules(((1, 7), (7, 1)))
+
 DRAIN_CASES = {
     **{f"affine_a{n}": affine_a(n).to_rules() for n in (2, 3, 4)},
     **{f"finite_a{n}": finite_a(n).to_rules() for n in (2, 3, 4)},
-    "B3": from_coxeter_matrix(CoxeterMatrix(((1, 4, 2), (4, 1, 3), (2, 3, 1)))).to_rules(),
-    "~C2": from_coxeter_matrix(CoxeterMatrix(((1, 4, 2), (4, 1, 4), (2, 4, 1)))).to_rules(),
+    "B3": coxeter_rules(((1, 4, 2), (4, 1, 3), (2, 3, 1))),
+    "~C2": coxeter_rules(((1, 4, 2), (4, 1, 4), (2, 4, 1))),
+    "H3": H3,
+    "F4": F4,
+    "I2(7)": I2_7,
     **{f"pruning{k}": RuleSet([make_rule(u, v) for u, v in rels], 2)
        for k, rels in enumerate(PRUNING_RELATIONS)},
 }
@@ -298,6 +311,50 @@ def test_complete_returns_its_certified_reduced_basis(name):
     r = complete(DRAIN_CASES[name])
     assert interreduce(r).rules == r.rules
     assert is_gs_basis(r) == (True, [])
+
+
+def exhaustively_confluent(rs):
+    """The definition: every composition of every ambiguity is trivial."""
+    return all(composition_remainder(a, rs) is None for a in ambiguities(rs))
+
+
+def has_inner_leading_word(amb, rs):
+    return any(r.lhs in amb.word[1:-1] for r in rs.rules)
+
+
+def composite_count(rs):
+    return sum(len(a.word) > len(rs.rules[a.i].lhs) and has_inner_leading_word(a, rs)
+               for a in ambiguities(rs))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_is_gs_basis_flag_is_exhaustive_on_random_subsets(n):
+    # 80 % of an interreduced basis: no inclusions, so every witness is
+    # an overlap, and a prime one has no leading word strictly inside
+    basis = g_families(n).rules
+    for seed in range(30):
+        rng = random.Random(1000 * n + seed)
+        keep = sorted(rng.sample(range(len(basis)), round(0.8 * len(basis))))
+        rs = RuleSet([basis[k] for k in keep], n + 1)
+        ok, witnesses = is_gs_basis(rs)
+        assert ok == exhaustively_confluent(rs), seed
+        assert not any(has_inner_leading_word(a, rs) for a in witnesses), seed
+
+
+def test_is_gs_basis_composes_inclusions_with_inner_leading_word():
+    # b lies strictly inside abc, yet the inclusion is its only ambiguity
+    rs = RuleSet([Rule(b"\x00\x01\x02", b"\x03"), Rule(b"\x01", b"\x04")], 5)
+    assert is_gs_basis(rs) == (False, [Ambiguity(0, 1, b"\x00\x01\x02", 1)])
+
+
+@pytest.mark.parametrize("rs,order,composites", [(H3, 120, 12), (F4, 1152, 41), (I2_7, 14, 2)])
+def test_completed_finite_bases_with_composite_ambiguities(rs, order, composites):
+    basis = complete(rs)
+    assert composite_count(basis) == composites
+    assert is_gs_basis(basis) == (True, [])
+    assert exhaustively_confluent(basis)
+    # the longest elements have 15, 24 and 7 letters
+    assert sum(count_reduced(basis, 60).coefficients) == order
 
 
 def test_interreduce_drops_contained_lhs():

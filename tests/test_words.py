@@ -95,6 +95,14 @@ def test_alphabet_unknown_token():
         ab.word("r0 r3")
 
 
+@pytest.mark.parametrize("name", ["1", "a=b", "=", "a#", "#", "", "a b", " a"])
+def test_alphabet_rejects_names_that_do_not_round_trip(name):
+    # "1" parses as the identity, "=" and "#" are syntax of the file format,
+    # and whitespace splits a name into other tokens
+    with pytest.raises(ValueError, match="invalid generator name"):
+        Alphabet(["a", name])
+
+
 def test_alphabet_custom_precedence():
     # first listed is greatest
     ab = Alphabet(["b", "a"])
