@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from .word_classes import Block, InvalidSequenceError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BasicPartition:
     """The n-tuple (k, 1, ..., 1, 0, ..., 0) with l ones."""
 
@@ -38,7 +38,7 @@ class BasicPartition:
         return (self.k,) + (1,) * self.l + (0,) * (self.n - 1 - self.l)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BoxPartition:
     """A partition with at most n parts, no part larger than n.
 
@@ -124,9 +124,7 @@ def decompose(p):
         bp = BasicPartition(n, parts[0], last)
         seq.append(bp)
         rest = [x - y for x, y in zip(parts, bp.tuple())]
-        # undo one cyclic shift: drop the leading zero, append a zero
-        if rest[0] != 0:
-            raise InvalidSequenceError(f"cannot peel {p}")
+        # undo one cyclic shift: drop the leading zero (bp.k is parts[0]), append a zero
         parts = rest[1:] + [0]
     check_connected_seq(seq)
     return seq

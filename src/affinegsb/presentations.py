@@ -9,7 +9,7 @@ type A is the path, the affine presentation the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import Alphabet, WordSyntaxError, deglex_key
 from .rewriting import RuleSet, make_rule
@@ -30,7 +30,7 @@ class PresentationError(ValueError):
 @dataclass
 class Presentation:
     alphabet: Alphabet
-    relations: list = field(default_factory=list)
+    relations: list
 
     def to_rules(self):
         """Orient each relation by deg-lex into a RuleSet."""

@@ -312,8 +312,9 @@ class _Completion:
     if the inner rule is pruned later, the lhs that pruned it is a factor
     of its lhs and still inside.  So once ``drain`` has emptied the queue,
     every composition of the live rules is trivial and they form a
-    Groebner-Shirshov basis; ``complete`` still certifies its
-    interreduction.
+    Groebner-Shirshov basis; ``complete`` drains once and certifies the
+    interreduction, raising ValueError rather than draining again if the
+    certificate fails.
     """
 
     def __init__(self, alphabet_size, max_rules, max_degree):
@@ -376,23 +377,24 @@ def complete(rs, max_rules=100000, max_degree=64):
     Processes ambiguities smallest-first (deg-lex of the ambiguity word),
     adding nontrivial composition remainders as new rules, until every
     composition is trivial; then interreduces the live rules and returns
-    that basis, certified by ``is_gs_basis``.  May not terminate for
-    arbitrary input; the limits raise CompletionLimitError carrying the
-    live rules reached so far.
+    that basis once ``is_gs_basis`` certifies it.  The drain invariant of
+    ``_Completion`` makes the certificate hold; if it fails, ValueError
+    names the number of witnesses and the first one's word.  May not
+    terminate for arbitrary input; the limits raise CompletionLimitError
+    carrying the live rules reached so far.
     """
     state = _Completion(rs.alphabet_size, max_rules, max_degree)
     for r in rs.rules:
         state.add_equation(r.lhs, r.rhs)
-    # by the drain invariant the first certificate holds; any witness
-    # found is fed back as an equation and drained in turn
-    while True:
-        state.drain()
-        result = interreduce(state.live)
-        ok, witnesses = is_gs_basis(result)
-        if ok:
-            return result
-        for amb in witnesses:
-            state.add_equation(*_descendants(amb, result.rules, result))
+    state.drain()
+    result = interreduce(state.live)
+    ok, witnesses = is_gs_basis(result)
+    if not ok:
+        raise ValueError(
+            f"completion fails its certificate: {len(witnesses)} nontrivial compositions, "
+            f"the first on the word of symbol ids {list(witnesses[0].word)}"
+        )
+    return result
 
 
 def interreduce(rs):

@@ -35,22 +35,8 @@ class TruncatedSeries:
         coeffs = (coeffs + [0] * (degree + 1))[: degree + 1]
         return cls(tuple(coeffs))
 
-    @classmethod
-    def one(cls, degree):
-        return cls.from_list([1], degree)
-
     def __getitem__(self, d):
         return self.coefficients[d]
-
-    def __mul__(self, other):
-        d = min(self.degree, other.degree)
-        out = [0] * (d + 1)
-        for i, a in enumerate(self.coefficients[: d + 1]):
-            if a:
-                for j, b in enumerate(other.coefficients[: d + 1 - i]):
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries.from_list(out, d)
 
     def div_exact(self, other):
         """Exact series division; the divisor needs a unit constant term.
@@ -98,16 +84,14 @@ def series_expand_rational(numerator, denominator_factors, degree):
 
 
 def poincare_affine_a(n, degree):
-    """Growth series of the rank-n affine group.
+    """Growth series of the rank-n affine group, by Bott's formula.
 
-    prod_{i=1..n} (1 + x + ... + x^i) / prod_{i=1..n} (1 - x^i).
+    prod_{i=1..n} (1 + x + ... + x^i) / (1 - x^i) telescopes, since
+    (1 + ... + x^i)(1 - x) = 1 - x^(i+1), to (1 + x + ... + x^n) / (1 - x)^n
+    (Bott, 1956).
     """
-    s = TruncatedSeries.one(degree)
-    for i in range(1, n + 1):
-        s = s * TruncatedSeries.from_list([1] * (i + 1), degree)
-    for i in range(1, n + 1):
-        s = s.div_exact(geometric_factor(i, degree))
-    return s
+    one_minus_x = geometric_factor(1, degree).coefficients
+    return series_expand_rational([1] * (n + 1), [one_minus_x] * n, degree)
 
 
 class FactorAutomaton:

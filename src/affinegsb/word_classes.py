@@ -36,7 +36,7 @@ class InvalidSequenceError(ValueError):
     """A block or marked sequence violates its monotonicity constraints."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Block:
     """The word r0 . (rn ... rk) . (r1 ... rl) at rank n.
 

@@ -14,7 +14,7 @@ import pytest
 from affinegsb import affine_basis, cli
 from affinegsb.cli import run
 from affinegsb.presentations import affine_a, parse, serialize
-from affinegsb.rewriting import Rule, RuleSet
+from affinegsb.rewriting import Rule, RuleSet, _Completion, complete, interreduce, is_gs_basis
 from affinegsb.words import affine_alphabet
 
 
@@ -172,6 +172,26 @@ def test_affine_fast_path_reports_a_failed_certificate(monkeypatch):
     assert err == "error: g_families(2) fails certificate check (d) is_gs_basis holds\n"
 
 
+def test_failed_completion_certificate_is_one_line_error(monkeypatch):
+    # a drain that resolves nothing leaves the defining relations, which are
+    # not confluent for affine A2 or finite A3 (those of finite A2 are):
+    # complete reports the failed certificate, it does not complete again
+    monkeypatch.setattr(_Completion, "drain", lambda self: None)
+    rs = affine_a(2).to_rules()
+    witnesses = is_gs_basis(interreduce(rs))[1]
+    with pytest.raises(ValueError) as exc:
+        complete(rs)
+    assert str(exc.value) == (
+        f"completion fails its certificate: {len(witnesses)} nontrivial compositions, "
+        f"the first on the word of symbol ids {list(witnesses[0].word)}"
+    )
+    assert invoke("complete", "--builtin", "finite-a", "--n", "2")[0] == 0
+    code, out, err = invoke("complete", "--builtin", "finite-a", "--n", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: completion fails its certificate: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_match():
     code, out, _ = invoke("verify", "--n", "3")
     assert code == 0
@@ -305,6 +325,16 @@ def test_bijection_roundtrip(box):
     )
     assert code == 0
     assert encoded == box + "\n"
+
+
+@pytest.mark.parametrize("direction, text, message", [
+    ("decode", "a,b", "cannot parse tuple 'a,b'"),
+    ("encode", "3,1,x", "cannot parse tuple '3,1,x'"),
+])
+def test_bijection_unparsable_tuple(direction, text, message):
+    code, out, err = invoke("bijection", direction, "--n", "3", "--input", text)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("direction, text", [

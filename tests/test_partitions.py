@@ -61,6 +61,17 @@ def test_check_connected_seq_raises():
         check_connected_seq([BasicPartition(3, 2, 1), BasicPartition(3, 2, 0)])
 
 
+@pytest.mark.parametrize("seq,message", [
+    ([BasicPartition(3, 2, 1), BasicPartition(2, 1, 0)], "mixed ranks in sequence"),
+    ([BasicPartition(3, 2, 1), BasicPartition(3, 2, 0)],
+     "BasicPartition(n=3, k=2, l=1) is not connected to BasicPartition(n=3, k=2, l=0)"),
+], ids=["mixed-ranks", "not-connected"])
+def test_check_connected_seq_raises_its_message(seq, message):
+    with pytest.raises(InvalidSequenceError) as exc:
+        check_connected_seq(seq)
+    assert str(exc.value) == message
+
+
 def test_block_to_basic_reflects_k():
     b = Block(4, 3, 2)
     bp = block_to_basic(b)

@@ -192,6 +192,27 @@ def test_parse_rejects_repeated_or_trivial_relation(text, line, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: parse("generators:   # none\n"), "line 1: no generators listed",
+                 id="parse-no-generators"),
+    pytest.param(lambda: parse("generators: a\nfoo bar\n"), "line 2: unrecognized line 'foo bar'",
+                 id="parse-unrecognized-line"),
+    pytest.param(lambda: parse("generators: a\nrel: a a\n"),
+                 "line 2: relation must contain exactly one '='", id="parse-no-equals"),
+    pytest.param(lambda: parse("generators: a\nrel: a = a a = 1\n"),
+                 "line 2: relation must contain exactly one '='", id="parse-two-equals"),
+    pytest.param(lambda: parse(""), "empty presentation: no generators line", id="parse-empty"),
+    pytest.param(lambda: CoxeterMatrix(((1, 2), (2, 1), (2, 2))), "Coxeter matrix must be square",
+                 id="coxeter-not-square"),
+    pytest.param(lambda: CoxeterMatrix(((1, 1), (1, 1))), "off-diagonal entry m[0][1] < 2",
+                 id="coxeter-entry-below-2"),
+])
+def test_input_checks_raise_their_message(build, message):
+    with pytest.raises(PresentationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_parse_missing_generators_line():
     with pytest.raises(PresentationError):
         parse("rel: a a =")

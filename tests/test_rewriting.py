@@ -27,6 +27,21 @@ from affinegsb.words import RankMismatchError, deglex_key
 INVOLUTION = RuleSet([Rule(b"\x00\x00", b"")], 1)
 
 
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: make_rule(b"\x00\x01", b"\x00\x01"), "rule sides must differ",
+                 id="make_rule-equal-sides"),
+    pytest.param(lambda: RuleSet([Rule(b"\x01", b"\x00")], 2),
+                 "rule not deg-lex oriented: Rule(lhs=b'\\x01', rhs=b'\\x00')",
+                 id="ruleset-not-oriented"),
+    pytest.param(lambda: RuleSet([*INVOLUTION.rules, *INVOLUTION.rules], 1),
+                 "duplicate rule: Rule(lhs=b'\\x00\\x00', rhs=b'')", id="ruleset-duplicate"),
+])
+def test_rule_input_checks_raise_their_message(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_reduce_once_involution():
     assert reduce_once(b"\x00\x00", INVOLUTION) == b""
 

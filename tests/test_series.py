@@ -25,19 +25,15 @@ def test_series_from_list_pads_and_truncates():
     assert t.coefficients == (1, 2)
 
 
-def test_series_mul():
-    a = TruncatedSeries.from_list([1, 1], 3)
-    assert (a * a).coefficients == (1, 2, 1, 0)
-
-
-def test_series_mul_truncates_to_min_degree():
-    a = TruncatedSeries.from_list([1, 1], 5)
-    b = TruncatedSeries.from_list([1, 1], 2)
-    assert (a * b).degree == 2
+def product(a, b):
+    """The truncated product of two series of one degree, by convolution."""
+    d = a.degree
+    return TruncatedSeries.from_list(
+        [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(d + 1)], d)
 
 
 def test_div_exact_geometric():
-    one = TruncatedSeries.one(6)
+    one = TruncatedSeries.from_list([1], 6)
     s = one.div_exact(geometric_factor(1, 6))
     assert s.coefficients == (1,) * 7
     s2 = one.div_exact(geometric_factor(2, 6))
@@ -45,9 +41,10 @@ def test_div_exact_geometric():
 
 
 def test_div_exact_inverts_mul():
-    a = TruncatedSeries.from_list([1, 3, 2, 7], 8)
+    # (1 + 3x + 2x^2 + 7x^3)(1 - x + 4x^2), expanded by hand
+    ab = TruncatedSeries.from_list([1, 2, 3, 17, 1, 28], 8)
     b = TruncatedSeries.from_list([1, -1, 4], 8)
-    assert (a * b).div_exact(b).coefficients == a.coefficients
+    assert ab.div_exact(b).coefficients == (1, 3, 2, 7, 0, 0, 0, 0, 0)
 
 
 def test_div_exact_inverts_mul_with_sparse_divisors():
@@ -60,11 +57,11 @@ def test_div_exact_inverts_mul_with_sparse_divisors():
         b = [rng.choice((1, -1))] + [
             rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(rng.randint(0, degree))]
         b = TruncatedSeries.from_list(b, degree)
-        assert (a * b).div_exact(b) == a, (a, b)
+        assert product(a, b).div_exact(b) == a, (a, b)
 
 
 def test_div_exact_rejects_zero_constant():
-    a = TruncatedSeries.one(3)
+    a = TruncatedSeries.from_list([1], 3)
     with pytest.raises(ZeroDivisionError):
         a.div_exact(TruncatedSeries.from_list([0, 1], 3))
 
@@ -95,6 +92,18 @@ def test_poincare_linear_growth_rank2():
     s = poincare_affine_a(2, 30)
     for d in range(2, 30):
         assert s[d + 1] - s[d] == 3
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_poincare_is_the_product_formula(n):
+    # prod_{i=1..n} (1 + x + ... + x^i), multiplied out here, over prod (1 - x^i)
+    for degree in (0, 1, 5, 100):
+        s = TruncatedSeries.from_list([1], degree)
+        for i in range(1, n + 1):
+            s = product(s, TruncatedSeries.from_list([1] * (i + 1), degree))
+        for i in range(1, n + 1):
+            s = s.div_exact(geometric_factor(i, degree))
+        assert poincare_affine_a(n, degree) == s, degree
 
 
 def test_poincare_constant_and_first():

@@ -274,6 +274,34 @@ def test_marked_seq_validation():
         MarkedSeq(3, (Block(3, 2, 3),), ())  # l = n not allowed for a mark
 
 
+K_SKELETON = (Block(2, 2, 2), Block(2, 3, 2))  # the rank-2 skeleton of one K_STEP
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: ArrangedWord(2, K_SKELETON, (0,), ()),
+                 "skeleton and exponents must have length n", id="arranged-lengths"),
+    pytest.param(lambda: ArrangedWord(2, (Block(2, 3, 2), Block(2, 3, 1)), (0, 0), ()),
+                 "skeleton must start at Block(2, n)", id="arranged-start"),
+    pytest.param(lambda: ArrangedWord(2, K_SKELETON, (-1, 0), ()),
+                 "exponents must be >= 0", id="arranged-negative-exponent"),
+    pytest.param(lambda: ArrangedWord(2, K_SKELETON, (0, 0), (Block(2, 2, 2),)),
+                 "invalid tail chain", id="arranged-chain"),
+    pytest.param(lambda: ArrangedWord(2, (Block(2, 2, 2), Block(2, 3, 1)), (0, 0), ()),
+                 "invalid chain step Block(n=2, k=2, l=2) -> Block(n=2, k=3, l=1)",
+                 id="arranged-chain-step"),
+    pytest.param(lambda: MarkedSeq(3, (Block(3, 4, 0),), ()),
+                 "marks must be component-shaped blocks", id="marked-tail-shaped-mark"),
+    pytest.param(lambda: MarkedSeq(3, (), (Block(3, 2, 2),)),
+                 "invalid tail chain", id="marked-chain"),
+    pytest.param(lambda: MarkedSeq(3, (Block(3, 2, 2),), (Block(3, 2, 0),)),
+                 "last mark incompatible with tail head", id="marked-head"),
+])
+def test_sequence_input_checks_raise_their_message(build, message):
+    with pytest.raises(InvalidSequenceError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_rebuild_rejects_mark_of_other_rank():
     with pytest.raises(InvalidSequenceError, match="rank 3"):
         MarkedSeq(3, (Block(4, 3, 2),), ())

@@ -103,6 +103,17 @@ def test_alphabet_rejects_names_that_do_not_round_trip(name):
         Alphabet(["a", name])
 
 
+@pytest.mark.parametrize("names,message", [
+    (["a", "b", "a"], "duplicate generator names"),
+    ([], "alphabet must be nonempty"),
+    ([f"g{i}" for i in range(256)], "alphabet too large"),
+], ids=["duplicate", "empty", "256-names"])
+def test_alphabet_input_checks_raise_their_message(names, message):
+    with pytest.raises(ValueError) as exc:
+        Alphabet(names)
+    assert str(exc.value) == message
+
+
 def test_alphabet_custom_precedence():
     # first listed is greatest
     ab = Alphabet(["b", "a"])
