@@ -57,7 +57,9 @@ class LeadingWordIndex:
     - ``rule[s]`` is the lowest index k of a word equal to prefix(s), or
       -1 (for a RuleSet's index, word k is the lhs of rule k);
     - ``suffix[s]`` (the dictionary-suffix link) is the longest proper
-      suffix state along the failure links whose ``rule`` is set, or -1.
+      suffix state along the failure links whose ``rule`` is set, or -1;
+    - ``low[s]`` is the lowest index k of a word that is a suffix of
+      prefix(s), or the number of words if there is none.
 
     After reading any text from state 0 the current state is the longest
     suffix of the text that is a prefix of some word, and the words that
@@ -68,6 +70,7 @@ class LeadingWordIndex:
     """
 
     def __init__(self, words, alphabet_size):
+        words = list(words)
         trie, ends = [{}], [-1]
         for k, w in enumerate(words):
             if not w:
@@ -88,6 +91,7 @@ class LeadingWordIndex:
         # parent is expanded and takes its failure link from the parent's
         order = [0]
         fail, self.depth, self.rule, self.suffix = [0], [0], [ends[0]], [-1]
+        self.low = [len(words)]
         self.goto = []
         for s, v in enumerate(order):
             back = self.goto[fail[s]] if s else [0] * alphabet_size
@@ -98,8 +102,10 @@ class LeadingWordIndex:
                 f = back[c]
                 fail.append(f)
                 self.depth.append(self.depth[s] + 1)
-                self.rule.append(ends[child])
+                k = ends[child]
+                self.rule.append(k)
                 self.suffix.append(f if self.rule[f] >= 0 else self.suffix[f])
+                self.low.append(self.low[f] if k < 0 else min(k, self.low[f]))
             self.goto.append(row)
 
     def matches(self, s):
@@ -147,13 +153,26 @@ def reduce_once(w, rs):
     """One elimination of a leading word, or None if w is reduced.
 
     The lowest-index applicable rule wins and its leftmost occurrence is
-    replaced.  The result is strictly deg-lex-smaller than w.
+    replaced.  The result is strictly deg-lex-smaller than w.  One pass
+    of ``rs.index`` over the whole of w: at each letter ``low`` names the
+    lowest-index leading word ending there, and the first letter at which
+    a lower index than any before appears ends that rule's leftmost
+    occurrence.  Raises RankMismatchError if w has a symbol outside the
+    alphabet of rs.
     """
-    for rule in rs.rules:
-        p = w.find(rule.lhs)
-        if p >= 0:
-            return w[:p] + rule.rhs + w[p + len(rule.lhs):]
-    return None
+    goto, low = rs.index.goto, rs.index.low
+    best, s, end = len(rs.rules), 0, 0
+    try:
+        for i, c in enumerate(w, 1):
+            s = goto[s][c]
+            if low[s] < best:
+                best, end = low[s], i
+    except IndexError:
+        raise _outside_alphabet(w, rs.alphabet_size) from None
+    if best == len(rs.rules):
+        return None
+    lhs, rhs = rs.rules[best]
+    return w[:end - len(lhs)] + rhs + w[end:]
 
 
 def normal_form(w, rs):
@@ -161,10 +180,9 @@ def normal_form(w, rs):
 
     Terminates because every step is a strict deg-lex decrease; on a
     Groebner-Shirshov basis the result is strategy-independent.  Raises
-    RankMismatchError if w has a symbol outside the alphabet of rs.
+    RankMismatchError if w has a symbol outside the alphabet of rs, since
+    reduce_once reads all of w.
     """
-    if w and max(w) >= rs.alphabet_size:
-        raise _outside_alphabet(w, rs.alphabet_size)
     while True:
         nxt = reduce_once(w, rs)
         if nxt is None:
@@ -249,12 +267,28 @@ def ambiguities(rs):
 
 
 def _descendants(amb, rules, rs):
-    """Normal forms under rs of the two one-step rewrites of the ambiguity
-    word, by ``rules[amb.i]`` at its start and ``rules[amb.j]`` at offset_j."""
+    """The two one-step rewrites of the ambiguity word, by ``rules[amb.i]``
+    at its start and ``rules[amb.j]`` at offset_j, reduced under rs until
+    they meet.
+
+    Returns two equal words if their normal forms are equal, and else the
+    two normal forms.  reduce_once is deterministic, so the normal forms
+    are equal exactly when the two reduction chains meet (Book & Otto,
+    String-Rewriting Systems, 1993).  Each step reduces the deg-lex-greater
+    word; both chains fall strictly, so neither passes a word they share.
+    If the greater word is irreducible, it is its normal form and the
+    smaller one is reduced to its own.
+    """
     ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
-    x = normal_form(ri.rhs + w[len(ri.lhs):], rs)
-    y = normal_form(w[:p] + rj.rhs + w[p + len(rj.lhs):], rs)
-    return x, y
+    pair = [ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]]
+    while pair[0] != pair[1]:
+        g = deglex_key(pair[0]) < deglex_key(pair[1])  # index of the greater
+        nxt = reduce_once(pair[g], rs)
+        if nxt is None:
+            pair[not g] = normal_form(pair[not g], rs)
+            break
+        pair[g] = nxt
+    return tuple(pair)
 
 
 def composition_remainder(amb, rs):

@@ -78,11 +78,15 @@ def affine_alphabet(n):
     return Alphabet([f"r{i}" for i in range(n + 1)])
 
 
+# maps symbol id c to 255 - c, so bytes order on the image is reversed
+_COMPLEMENT = bytes(range(255, -1, -1))
+
+
 def deglex_key(w):
     """Sort key: ascending order under this key is ascending deg-lex.
 
     Longer words are greater; equal lengths compare left-to-right with
     lower ids (higher precedence) greater.
     """
-    return (len(w), bytes(255 - c for c in w))
+    return (len(w), w.translate(_COMPLEMENT))
 

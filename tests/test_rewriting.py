@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from affinegsb import rewriting
 from affinegsb.affine_basis import g_families
 from affinegsb.presentations import CoxeterMatrix, affine_a, finite_a, from_coxeter_matrix
 from affinegsb.rewriting import (
@@ -63,6 +65,80 @@ def test_reduce_once_strictly_decreases():
         nxt = reduce_once(w, rs)
         if nxt is not None:
             assert deglex_key(nxt) < deglex_key(w)
+
+
+def reduce_once_by_scan(w, rs):
+    """The rule choice of reduce_once, written as one bytes.find per rule."""
+    for rule in rs.rules:
+        p = w.find(rule.lhs)
+        if p >= 0:
+            return w[:p] + rule.rhs + w[p + len(rule.lhs):]
+    return None
+
+
+def basis_subset(n, seed):
+    """A seeded 80 % of g_families(n): not confluent, so the rule choice
+    changes normal forms."""
+    basis = g_families(n).rules
+    rng = random.Random(seed)
+    keep = sorted(rng.sample(range(len(basis)), round(0.8 * len(basis))))
+    return RuleSet([basis[k] for k in keep], n + 1)
+
+
+def assert_reduce_once_matches_scan(rs, rng, words, max_len):
+    # follow the reference chain, so that every word on it is compared
+    for _ in range(words):
+        w = bytes(rng.randrange(rs.alphabet_size) for _ in range(rng.randint(0, max_len)))
+        while w is not None:
+            nxt = reduce_once_by_scan(w, rs)
+            assert reduce_once(w, rs) == nxt, w
+            w = nxt
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reduce_once_matches_scan_over_explicit_basis(n):
+    assert_reduce_once_matches_scan(g_families(n), random.Random(n), 40, 60)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reduce_once_matches_scan_over_basis_subsets(n):
+    for seed in range(3):
+        rs = basis_subset(n, 2000 * n + seed)
+        assert_reduce_once_matches_scan(rs, random.Random(seed), 15, 60)
+
+
+# two rules share the lhs r0 r1, and r1 r2 and r2 r1 are a prefix and a
+# suffix of r1 r2 r1
+R22, R121, R12, R21, R01_2, R01_1 = (
+    Rule(bytes([2, 2]), b""), Rule(bytes([1, 2, 1]), bytes([2, 1, 2])),
+    Rule(bytes([1, 2]), bytes([2])), Rule(bytes([2, 1]), bytes([1])),
+    Rule(bytes([0, 1]), bytes([2])), Rule(bytes([0, 1]), bytes([1])),
+)
+
+
+@pytest.mark.parametrize("rules,w,expected", [
+    # the factor and the word containing it: the lower index wins, even
+    # though r1 r2 r1 is recognized only after r1 r2
+    ([R12, R121], [1, 2, 1], [2, 1]),
+    ([R121, R12], [1, 2, 1], [2, 1, 2]),
+    # a suffix ends with the word containing it
+    ([R21, R121], [1, 2, 1], [1, 1]),
+    ([R121, R21], [1, 2, 1], [2, 1, 2]),
+    # the same lhs twice
+    ([R01_2, R01_1], [1, 0, 1], [1, 2]),
+    ([R01_1, R01_2], [1, 0, 1], [1, 1]),
+    # the lowest index wins wherever it occurs, at its leftmost occurrence
+    ([R12, R22], [2, 2, 1, 2, 2, 2], [2, 2, 2, 2, 2]),
+    ([R22, R12], [1, 2, 2, 2, 2], [1, 2, 2]),
+])
+def test_reduce_once_lowest_index_at_leftmost_occurrence(rules, w, expected):
+    assert reduce_once(bytes(w), RuleSet(rules, 3)) == bytes(expected)
+
+
+def test_reduce_once_matches_scan_with_shared_and_nested_lhs():
+    rng = random.Random(7)
+    for rules in itertools.permutations([R22, R121, R12, R21, R01_2, R01_1]):
+        assert_reduce_once_matches_scan(RuleSet(rules, 3), rng, 3, 60)
 
 
 def test_normal_form_involution():
@@ -147,6 +223,15 @@ def test_membership_rejects_symbol_outside_alphabet(explicit2):
     for query in (is_reduced, find_first_forbidden):
         with pytest.raises(RankMismatchError):
             query(b"\x01\x05", explicit2)
+
+
+def test_reduce_once_rejects_symbol_outside_alphabet(explicit2):
+    # r1 r1 is reducible whether the unknown symbol 7 comes before it or
+    # after it
+    for w in (bytes([1, 7, 1]), bytes([1, 1, 7])):
+        for query in (reduce_once, normal_form, is_reduced):
+            with pytest.raises(RankMismatchError):
+                query(w, explicit2)
 
 
 def test_normal_form_rejects_symbol_outside_alphabet(explicit2):
@@ -328,6 +413,45 @@ def test_complete_returns_its_certified_reduced_basis(name):
     assert is_gs_basis(r) == (True, [])
 
 
+def descendants_by_normal_forms(amb, rules, rs):
+    """The two one-step rewrites of the ambiguity word, each reduced to
+    its normal form."""
+    ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
+    return (normal_form(ri.rhs + w[len(ri.lhs):], rs),
+            normal_form(w[:p] + rj.rhs + w[p + len(rj.lhs):], rs))
+
+
+@pytest.mark.parametrize("name", ["affine_a4", "H3", "F4"])
+def test_completion_steps_match_rule_scan_and_full_normal_forms(name, monkeypatch):
+    # the same rules are created in the same order, and the same ones are
+    # pruned, as with the rule-by-rule scan and two full normal forms
+    rs = DRAIN_CASES[name]
+
+    def run():
+        state = _Completion(rs.alphabet_size, max_rules=100000, max_degree=64)
+        for r in rs.rules:
+            state.add_equation(r.lhs, r.rhs)
+        state.drain()
+        return state.rules, complete(rs).rules
+
+    rules, basis = run()
+    monkeypatch.setattr(rewriting, "reduce_once", reduce_once_by_scan)
+    monkeypatch.setattr(rewriting, "_descendants", descendants_by_normal_forms)
+    assert run() == (rules, basis)
+
+
+def test_composition_remainder_is_that_of_two_normal_forms():
+    nontrivial = 0
+    for seed in range(10):
+        rs = basis_subset(4, 3000 + seed)
+        for amb in ambiguities(rs):
+            x, y = descendants_by_normal_forms(amb, rs.rules, rs)
+            expected = None if x == y else make_rule(x, y)
+            assert composition_remainder(amb, rs) == expected, (seed, amb)
+            nontrivial += expected is not None
+    assert nontrivial
+
+
 def exhaustively_confluent(rs):
     """The definition: every composition of every ambiguity is trivial."""
     return all(composition_remainder(a, rs) is None for a in ambiguities(rs))
@@ -346,11 +470,8 @@ def composite_count(rs):
 def test_is_gs_basis_flag_is_exhaustive_on_random_subsets(n):
     # 80 % of an interreduced basis: no inclusions, so every witness is
     # an overlap, and a prime one has no leading word strictly inside
-    basis = g_families(n).rules
     for seed in range(30):
-        rng = random.Random(1000 * n + seed)
-        keep = sorted(rng.sample(range(len(basis)), round(0.8 * len(basis))))
-        rs = RuleSet([basis[k] for k in keep], n + 1)
+        rs = basis_subset(n, 1000 * n + seed)
         ok, witnesses = is_gs_basis(rs)
         assert ok == exhaustively_confluent(rs), seed
         assert not any(has_inner_leading_word(a, rs) for a in witnesses), seed

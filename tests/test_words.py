@@ -81,6 +81,15 @@ def test_deglex_key_sorts_ascending():
         assert compare(a, b) == -1
 
 
+def test_deglex_key_is_the_complement_of_each_symbol():
+    # the key complements each byte in one translate; check it against the
+    # byte-by-byte form over the whole byte range bar 255
+    rng = random.Random(14)
+    for _ in range(2000):
+        x = bytes(rng.randrange(255) for _ in range(rng.randint(0, 60)))
+        assert deglex_key(x) == (len(x), bytes(255 - c for c in x)), x
+
+
 def test_alphabet_parse_and_print():
     ab = affine_alphabet(2)
     assert ab.word("r0 r2 r1") == w(0, 2, 1)
