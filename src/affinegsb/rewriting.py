@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .words import RankMismatchError, deglex_key
+from .words import RankMismatchError, deglex_greater, deglex_key
 
 
 class Rule(NamedTuple):
@@ -36,7 +36,7 @@ def make_rule(u, v):
     """Orient the relation u = v into a Rule, deg-lex-larger side first."""
     if u == v:
         raise ValueError("rule sides must differ")
-    return Rule(u, v) if deglex_key(u) > deglex_key(v) else Rule(v, u)
+    return Rule(u, v) if deglex_greater(u, v) else Rule(v, u)
 
 
 def _outside_alphabet(w, alphabet_size):
@@ -131,7 +131,7 @@ class RuleSet:
             for w in r:
                 if w and max(w) >= self.alphabet_size:
                     raise _outside_alphabet(w, self.alphabet_size)
-            if deglex_key(r.lhs) <= deglex_key(r.rhs):
+            if not deglex_greater(r.lhs, r.rhs):
                 raise ValueError(f"rule not deg-lex oriented: {r}")
             if r in seen:
                 raise ValueError(f"duplicate rule: {r}")
@@ -191,8 +191,12 @@ def normal_form(w, rs):
 
 
 def is_reduced(w, rs):
-    """True if no leading word of rs occurs in w."""
-    return find_first_forbidden(w, rs) is None
+    """True if no leading word of rs occurs in w: reduce_once finding nothing.
+
+    One pass of ``rs.index`` over all of w, so a symbol outside the
+    alphabet raises RankMismatchError wherever it stands.
+    """
+    return reduce_once(w, rs) is None
 
 
 def find_first_forbidden(w, rs):
@@ -240,7 +244,15 @@ class Ambiguity(NamedTuple):
 
 
 def _pair_ambiguities(i, li, j, lj):
-    """Ambiguities of the ordered rule pair (i, j) with leading words li, lj."""
+    """Ambiguities of the ordered rule pair (i, j) with nonempty leading
+    words li, lj: inclusions by ascending offset, then intersections by
+    descending offset.
+
+    An intersection starts lhs_j at an offset p >= 1 of lhs_i where
+    lhs_i[p:] is a proper prefix of lhs_j, so p holds the first letter of
+    lhs_j and p > len(li) - len(lj); ``bytes.rfind`` visits only those
+    offsets.
+    """
     out = []
     if i != j:
         # inclusions of lhs_j in lhs_i (a and b may both be empty)
@@ -249,10 +261,12 @@ def _pair_ambiguities(i, li, j, lj):
             while p >= 0:
                 out.append(Ambiguity(i, j, li, p))
                 p = li.find(lj, p + 1)
-    # proper intersections: a suffix of lhs_i equals a prefix of lhs_j
-    for t in range(1, min(len(li), len(lj))):
-        if li[-t:] == lj[:t]:
-            out.append(Ambiguity(i, j, li + lj[t:], len(li) - t))
+    lo = max(1, len(li) - len(lj) + 1)
+    p = li.rfind(lj[0], lo)
+    while p >= 0:
+        if lj.startswith(li[p:]):
+            out.append(Ambiguity(i, j, li[:p] + lj, p))
+        p = li.rfind(lj[0], lo, p)
     return out
 
 
@@ -272,23 +286,24 @@ def _descendants(amb, rules, rs):
     they meet.
 
     Returns two equal words if their normal forms are equal, and else the
-    two normal forms.  reduce_once is deterministic, so the normal forms
-    are equal exactly when the two reduction chains meet (Book & Otto,
-    String-Rewriting Systems, 1993).  Each step reduces the deg-lex-greater
-    word; both chains fall strictly, so neither passes a word they share.
-    If the greater word is irreducible, it is its normal form and the
-    smaller one is reduced to its own.
+    two normal forms, in either order.  reduce_once is deterministic, so
+    the normal forms are equal exactly when the two reduction chains meet
+    (Book & Otto, String-Rewriting Systems, 1993).  Each step reduces the
+    deg-lex-greater word, found by ``deglex_greater`` without a sort key;
+    both chains fall strictly, so neither passes a word they share.  If
+    the greater word is irreducible, it is its normal form and the smaller
+    one is reduced to its own.
     """
     ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
-    pair = [ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]]
-    while pair[0] != pair[1]:
-        g = deglex_key(pair[0]) < deglex_key(pair[1])  # index of the greater
-        nxt = reduce_once(pair[g], rs)
+    x, y = ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]
+    while x != y:
+        if deglex_greater(y, x):
+            x, y = y, x
+        nxt = reduce_once(x, rs)
         if nxt is None:
-            pair[not g] = normal_form(pair[not g], rs)
-            break
-        pair[g] = nxt
-    return tuple(pair)
+            return x, normal_form(y, rs)
+        x = nxt
+    return x, y
 
 
 def composition_remainder(amb, rs):

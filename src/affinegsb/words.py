@@ -90,3 +90,10 @@ def deglex_key(w):
     """
     return (len(w), w.translate(_COMPLEMENT))
 
+
+def deglex_greater(u, v):
+    """True if u is deg-lex greater than v, i.e. deglex_key(u) > deglex_key(v).
+
+    Builds no key: words of equal length compare as bytes, reversed.
+    """
+    return len(u) > len(v) or (len(u) == len(v) and u < v)

@@ -22,6 +22,7 @@ from affinegsb.rewriting import (
     normal_form,
     reduce_once,
     _Completion,
+    _pair_ambiguities,
 )
 from affinegsb.series import count_reduced
 from affinegsb.words import RankMismatchError, deglex_key
@@ -210,13 +211,15 @@ def _find_first_forbidden_by_scan(w, rs):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_membership_matches_scan_over_explicit_basis(n):
-    rs = g_families(n)
-    rng = random.Random(n)
-    for _ in range(400):
-        w = bytes(rng.randrange(n + 1) for _ in range(rng.randint(0, 40)))
-        for x in (w, normal_form(w, rs)):
-            assert find_first_forbidden(x, rs) == _find_first_forbidden_by_scan(x, rs), x
-            assert is_reduced(x, rs) == all(x.find(r.lhs) < 0 for r in rs.rules), x
+    # a basis subset is not confluent, so the lowest-index match is not
+    # always the leftmost one
+    for rs in (g_families(n), basis_subset(n, 4000 + n)):
+        rng = random.Random(n)
+        for _ in range(400):
+            w = bytes(rng.randrange(n + 1) for _ in range(rng.randint(0, 40)))
+            for x in (w, normal_form(w, rs)):
+                assert find_first_forbidden(x, rs) == _find_first_forbidden_by_scan(x, rs), x
+                assert is_reduced(x, rs) == all(x.find(r.lhs) < 0 for r in rs.rules), x
 
 
 def test_membership_rejects_symbol_outside_alphabet(explicit2):
@@ -249,6 +252,39 @@ def test_index_follows_completion_live_rules():
     new_rule = state.rules[-1]
     assert new_rule.lhs == b"\x01\x01"
     assert not is_reduced(new_rule.lhs, state.live)
+
+
+def pair_ambiguities_by_slices(i, li, j, lj):
+    """The ambiguities of one ordered rule pair, with every overlap length
+    tried by comparing a suffix of li with a prefix of lj."""
+    out = []
+    if i != j:
+        if len(lj) <= len(li):
+            p = li.find(lj)
+            while p >= 0:
+                out.append(Ambiguity(i, j, li, p))
+                p = li.find(lj, p + 1)
+    for t in range(1, min(len(li), len(lj))):
+        if li[-t:] == lj[:t]:
+            out.append(Ambiguity(i, j, li + lj[t:], len(li) - t))
+    return out
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_pair_ambiguities_match_slice_loop(size):
+    # equal words, self-overlaps, and lj both shorter and longer than li
+    rng = random.Random(size)
+    fixed = [b"\x00", b"\x00\x00", b"\x00\x00\x00", b"\x00" * 8, b"\x00\x01" * 4,
+             b"\x01\x00\x01", b"\x00\x01\x00\x00\x01"]
+    seeded = [bytes(rng.randrange(size) for _ in range(rng.randint(1, 8))) for _ in range(150)]
+    found = 0
+    for li in fixed + seeded:
+        assert _pair_ambiguities(0, li, 0, li) == pair_ambiguities_by_slices(0, li, 0, li), li
+        for lj in fixed + seeded:
+            out = _pair_ambiguities(0, li, 1, lj)
+            assert out == pair_ambiguities_by_slices(0, li, 1, lj), (li, lj)
+            found += len(out)
+    assert found
 
 
 def test_ambiguities_self_overlap():
@@ -413,6 +449,25 @@ def test_complete_returns_its_certified_reduced_basis(name):
     assert is_gs_basis(r) == (True, [])
 
 
+def is_reduced_by_first_forbidden(w, rs):
+    return find_first_forbidden(w, rs) is None
+
+
+def descendants_by_keys(amb, rules, rs):
+    """The two one-step rewrites of the ambiguity word, reduced until they
+    meet, the greater one picked by comparing deglex_key."""
+    ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
+    pair = [ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]]
+    while pair[0] != pair[1]:
+        g = deglex_key(pair[0]) < deglex_key(pair[1])
+        nxt = reduce_once(pair[g], rs)
+        if nxt is None:
+            pair[not g] = normal_form(pair[not g], rs)
+            break
+        pair[g] = nxt
+    return tuple(pair)
+
+
 def descendants_by_normal_forms(amb, rules, rs):
     """The two one-step rewrites of the ambiguity word, each reduced to
     its normal form."""
@@ -424,7 +479,9 @@ def descendants_by_normal_forms(amb, rules, rs):
 @pytest.mark.parametrize("name", ["affine_a4", "H3", "F4"])
 def test_completion_steps_match_rule_scan_and_full_normal_forms(name, monkeypatch):
     # the same rules are created in the same order, and the same ones are
-    # pruned, as with the rule-by-rule scan and two full normal forms
+    # pruned, as with the slice-loop ambiguities, the leftmost-start walk
+    # as the reducibility test and the key-compared descendants, and then
+    # also with the rule-by-rule scan and two full normal forms
     rs = DRAIN_CASES[name]
 
     def run():
@@ -435,6 +492,10 @@ def test_completion_steps_match_rule_scan_and_full_normal_forms(name, monkeypatc
         return state.rules, complete(rs).rules
 
     rules, basis = run()
+    monkeypatch.setattr(rewriting, "_pair_ambiguities", pair_ambiguities_by_slices)
+    monkeypatch.setattr(rewriting, "is_reduced", is_reduced_by_first_forbidden)
+    monkeypatch.setattr(rewriting, "_descendants", descendants_by_keys)
+    assert run() == (rules, basis)
     monkeypatch.setattr(rewriting, "reduce_once", reduce_once_by_scan)
     monkeypatch.setattr(rewriting, "_descendants", descendants_by_normal_forms)
     assert run() == (rules, basis)

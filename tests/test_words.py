@@ -8,6 +8,7 @@ from affinegsb.words import (
     RankMismatchError,
     WordSyntaxError,
     affine_alphabet,
+    deglex_greater,
     deglex_key,
 )
 
@@ -58,6 +59,8 @@ def test_compare_total_and_antisymmetric():
         c = compare(u, v)
         assert c == -compare(v, u)
         assert (c == 0) == (u == v)
+        assert deglex_greater(u, v) == (c == 1)
+        assert deglex_greater(v, u) == (c == -1)
 
 
 def test_multiplication_compatibility():
@@ -85,9 +88,15 @@ def test_deglex_key_is_the_complement_of_each_symbol():
     # the key complements each byte in one translate; check it against the
     # byte-by-byte form over the whole byte range bar 255
     rng = random.Random(14)
+    prev = b""
     for _ in range(2000):
         x = bytes(rng.randrange(255) for _ in range(rng.randint(0, 60)))
         assert deglex_key(x) == (len(x), bytes(255 - c for c in x)), x
+        # the previous word, and one of equal length differing at some letters
+        y = bytes(c if rng.random() < 0.8 else rng.randrange(255) for c in x)
+        for u, v in ((x, prev), (prev, x), (x, y), (y, x)):
+            assert deglex_greater(u, v) == (deglex_key(u) > deglex_key(v)), (u, v)
+        prev = x
 
 
 def test_alphabet_parse_and_print():
