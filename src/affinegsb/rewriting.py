@@ -154,25 +154,26 @@ def reduce_once(w, rs):
 
     The lowest-index applicable rule wins and its leftmost occurrence is
     replaced.  The result is strictly deg-lex-smaller than w.  One pass
-    of ``rs.index`` over the whole of w: at each letter ``low`` names the
-    lowest-index leading word ending there, and the first letter at which
-    a lower index than any before appears ends that rule's leftmost
-    occurrence.  Raises RankMismatchError if w has a symbol outside the
+    of ``rs.index`` over the whole of w finds the lowest index of a
+    leading word in w (``low`` names, at each letter, the lowest index
+    ending there); ``bytes.replace(lhs, rhs, 1)`` then rewrites that lhs
+    at its first occurrence, the same step as a scan of the rules in
+    order.  Raises RankMismatchError if w has a symbol outside the
     alphabet of rs.
     """
     goto, low = rs.index.goto, rs.index.low
-    best, s, end = len(rs.rules), 0, 0
+    best, s = len(rs.rules), 0
     try:
-        for i, c in enumerate(w, 1):
+        for c in w:
             s = goto[s][c]
             if low[s] < best:
-                best, end = low[s], i
+                best = low[s]
     except IndexError:
         raise _outside_alphabet(w, rs.alphabet_size) from None
     if best == len(rs.rules):
         return None
     lhs, rhs = rs.rules[best]
-    return w[:end - len(lhs)] + rhs + w[end:]
+    return w.replace(lhs, rhs, 1)
 
 
 def normal_form(w, rs):

@@ -88,8 +88,12 @@ def poincare_affine_a(n, degree):
 
     prod_{i=1..n} (1 + x + ... + x^i) / (1 - x^i) telescopes, since
     (1 + ... + x^i)(1 - x) = 1 - x^(i+1), to (1 + x + ... + x^n) / (1 - x)^n
-    (Bott, 1956).
+    (Bott, 1956).  Raises ValueError for n < 1 or a negative degree.
     """
+    if n < 1:
+        raise ValueError(f"affine growth series needs rank >= 1, got {n}")
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     one_minus_x = geometric_factor(1, degree).coefficients
     return series_expand_rational([1] * (n + 1), [one_minus_x] * n, degree)
 
@@ -130,22 +134,28 @@ class FactorAutomaton:
         return len(self.table)
 
     def accepts(self, w):
+        """True if w avoids every forbidden word.
+
+        Reads all of w (the dead state absorbs), so a symbol outside the
+        alphabet raises RankMismatchError wherever it stands.
+        """
         s = self.start
         try:
             for c in w:
                 s = self.table[s][c]
-                if s == self.dead:
-                    return False
         except IndexError:
             raise _outside_alphabet(w, self.alphabet_size) from None
-        return True
+        return s != self.dead
 
     def count_by_length(self, max_len):
         """Number of accepted words of each length 0..max_len, exact.
 
         Follows only transitions between live states: the absorbing dead
         state (the last row) is dropped with every transition into it.
+        Raises ValueError for a negative max_len.
         """
+        if max_len < 0:
+            raise ValueError(f"degree {max_len} is negative")
         dead = self.dead
         targets = [[t for t in row if t != dead] for row in self.table[:dead]]
         counts = [0] * dead
@@ -165,7 +175,8 @@ class FactorAutomaton:
 def count_reduced(rs, max_len):
     """Growth series of words avoiding every leading word of the rule set.
 
-    For a completed basis this counts group elements by length.
+    For a completed basis this counts group elements by length.  Raises
+    ValueError for a negative max_len, from ``count_by_length``.
     """
     auto = FactorAutomaton(sorted(rs.leading_words()), rs.alphabet_size)
     return TruncatedSeries.from_list(auto.count_by_length(max_len), max_len)

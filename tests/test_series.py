@@ -113,6 +113,21 @@ def test_poincare_constant_and_first():
         assert s[1] == n + 1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: poincare_affine_a(3, -1), "degree -1 is negative"),
+        (lambda: poincare_affine_a(0, 5), "rank >= 1, got 0"),
+        (lambda: FactorAutomaton([b"\x00"], 2).count_by_length(-1), "degree -1 is negative"),
+        (lambda: count_reduced(g_families(2), -1), "degree -1 is negative"),
+    ],
+    ids=["poincare degree", "poincare rank", "count_by_length", "count_reduced"],
+)
+def test_negative_degree_or_rank_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_automaton_rejects_factor_words():
     auto = FactorAutomaton([bytes([0, 0]), bytes([1, 0, 1])], 2)
     assert auto.accepts(bytes([0, 1, 0]))
@@ -238,7 +253,7 @@ def test_automaton_rejects_symbol_outside_alphabet(forbidden):
         FactorAutomaton(forbidden, 2)
 
 
-@pytest.mark.parametrize("w", [b"\x05", b"\x01\x02", b"\x01\x00\x09"])
+@pytest.mark.parametrize("w", [b"\x05", b"\x01\x02", b"\x01\x00\x09", b"\x00\x00\x09"])
 def test_accepts_rejects_symbol_outside_alphabet(w):
     auto = FactorAutomaton([b"\x00\x00"], 2)
     with pytest.raises(RankMismatchError):
