@@ -220,6 +220,16 @@ def cmd_bijection(args, out):
     return 0
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Unlinks its sections, which refer back to it, once the text is built."""
+
+    def format_help(self):
+        text = super().format_help()
+        self._root_section.items.clear()
+        self._root_section.formatter = None
+        return text
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="affinegsb",
@@ -273,6 +283,8 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_bijection)
 
+    for p in (parser, *sub.choices.values()):
+        p.formatter_class = _HelpFormatter
     return parser
 
 

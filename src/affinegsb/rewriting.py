@@ -108,10 +108,6 @@ class LeadingWordIndex:
                 self.low.append(self.low[f] if k < 0 else min(k, self.low[f]))
             self.goto.append(row)
 
-    def matches(self, s):
-        """True if some word is a suffix of prefix(s)."""
-        return self.rule[s] >= 0 or self.suffix[s] >= 0
-
 
 @dataclass(frozen=True)
 class RuleSet:

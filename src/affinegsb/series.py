@@ -13,6 +13,7 @@ without a match, so building it costs O(states * alphabet size).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .rewriting import LeadingWordIndex, _outside_alphabet
 
@@ -108,6 +109,7 @@ class FactorAutomaton:
     reachable from the empty prefix without a match, numbered
     breadth-first, i.e. by ascending (length, bytes) of their prefixes;
     every transition into a match goes to the absorbing ``dead`` state.
+    A prefix matches when its ``low`` is below the root's (the word count).
     Cost: O(total length of the forbidden words + states * alphabet_size).
     Raises ValueError for an empty forbidden word and RankMismatchError
     for a symbol outside the alphabet.
@@ -116,16 +118,17 @@ class FactorAutomaton:
     def __init__(self, forbidden, alphabet_size):
         index = LeadingWordIndex(forbidden, alphabet_size)
         self.alphabet_size = alphabet_size
-        number = {0: 0}
+        low, none = index.low, index.low[0]
+        number = [0] + [-1] * (len(index.goto) - 1)
         live = [0]
         for s in live:
             for t in index.goto[s]:
-                if t not in number and not index.matches(t):
+                if number[t] < 0 and low[t] == none:
                     number[t] = len(live)
                     live.append(t)
-        self.start = 0
-        self.dead = len(live)
-        table = [[number.get(t, self.dead) for t in index.goto[s]] for s in live]
+        self.start, self.dead = 0, len(live)
+        number = [self.dead if k < 0 else k for k in number]
+        table = [list(map(number.__getitem__, index.goto[s])) for s in live]
         table.append([self.dead] * alphabet_size)  # dead state is absorbing
         self.table = table
 
@@ -150,24 +153,28 @@ class FactorAutomaton:
     def count_by_length(self, max_len):
         """Number of accepted words of each length 0..max_len, exact.
 
-        Follows only transitions between live states: the absorbing dead
-        state (the last row) is dropped with every transition into it.
+        Follows only transitions between live states (the dead state, the
+        last row, absorbs).  The states with exactly one live source lead
+        the count vector, so a degree is one ``itemgetter`` call for them
+        and one summed ``itemgetter`` per other state; two zero slots lead
+        the vector and every gather, so each gather returns a tuple.
         Raises ValueError for a negative max_len.
         """
         if max_len < 0:
             raise ValueError(f"degree {max_len} is negative")
-        dead = self.dead
-        targets = [[t for t in row if t != dead] for row in self.table[:dead]]
-        counts = [0] * dead
-        counts[self.start] = 1
+        sources = [[] for _ in self.table]
+        for s, row in enumerate(self.table[:self.dead]):
+            for t in row:
+                sources[t].append(s)
+        order = sorted(range(self.dead), key=lambda t: len(sources[t]) != 1)
+        slot = {t: i for i, t in enumerate(order, 2)}
+        gathers = [[slot[s] for s in sources[t]] for t in order]
+        single = itemgetter(0, 1, *(g[0] for g in gathers if len(g) == 1))
+        hubs = [itemgetter(0, 1, *g) for g in gathers if len(g) != 1]
+        counts = [0, 0, *(int(t == self.start) for t in order)]
         out = [1]
         for _ in range(max_len):
-            nxt = [0] * dead
-            for s, c in enumerate(counts):
-                if c:
-                    for t in targets[s]:
-                        nxt[t] += c
-            counts = nxt
+            counts = single(counts) + tuple([sum(g(counts)) for g in hubs])
             out.append(sum(counts))
         return out
 

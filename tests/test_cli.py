@@ -398,6 +398,22 @@ def test_run_leaves_no_garbage():
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["growth", "--n", "-1"], ["--help"], ["growth", "--help"], ["bogus"], []],
+    ids=lambda argv: shlex.join(argv) or "no-arguments",
+)
+def test_argparse_exits_leave_no_garbage(argv):
+    invoke(*argv)
+    gc.collect()
+    gc.disable()
+    try:
+        invoke(*argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_small_rank_is_domain_error(n):
     code, _, err = invoke("growth", "--builtin", "affine-a", "--n", n)

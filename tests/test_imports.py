@@ -1,4 +1,5 @@
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -87,3 +88,31 @@ def test_dead_private_names_are_found():
 def test_library_reads_every_private_name():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert dead_private_names(sources) == []
+
+
+def absolute_imports(source):
+    """Top-level module names of a module's absolute imports, in order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_absolute_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import a\n"
+        "from .b import c\n"
+        "from x.y import z\n"
+    )
+    assert absolute_imports(source) == ["__future__", "os", "numpy", "x"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library(path):
+    names = absolute_imports(path.read_text(encoding="utf-8"))
+    assert [m for m in names if m not in sys.stdlib_module_names] == []

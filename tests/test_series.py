@@ -4,8 +4,14 @@ import random
 import pytest
 
 from affinegsb.affine_basis import g_families
-from affinegsb.presentations import CoxeterMatrix, affine_a, finite_a, from_coxeter_matrix
-from affinegsb.rewriting import complete, is_reduced
+from affinegsb.presentations import (
+    INFINITY,
+    CoxeterMatrix,
+    affine_a,
+    finite_a,
+    from_coxeter_matrix,
+)
+from affinegsb.rewriting import Rule, RuleSet, complete, is_reduced
 from affinegsb.series import (
     FactorAutomaton,
     TruncatedSeries,
@@ -197,6 +203,10 @@ REFERENCE_CASES = {
     "B3": lambda: _coxeter_basis(((1, 4, 2), (4, 1, 3), (2, 3, 1))),
     "H3": lambda: _coxeter_basis(((1, 5, 2), (5, 1, 3), (2, 3, 1))),
     "~C2": lambda: _coxeter_basis(((1, 4, 2), (4, 1, 4), (2, 4, 1))),
+    # forbidden 00 and 11: no live state has a single live source
+    "~A1": lambda: _coxeter_basis(((1, INFINITY), (INFINITY, 1))),
+    # forbidden 1: the one live state is its own single source
+    "r1 = 1": lambda: RuleSet([Rule(b"\x01", b"")], 2),
 }
 
 
@@ -227,6 +237,7 @@ def test_automaton_matches_reference_on_bases(name):
     words = sorted(rs.leading_words())
     auto = FactorAutomaton(words, rs.alphabet_size)
     assert _tables(auto) == naive_automaton(words, rs.alphabet_size)
+    assert auto.count_by_length(0) == full_table_count(auto, 0) == [1]
     assert auto.count_by_length(30) == full_table_count(auto, 30)
 
 
