@@ -53,25 +53,25 @@ class LeadingWordIndex:
     - ``goto[s][c]`` is the state of the longest suffix of prefix(s) + c
       that is again a prefix of some word (the trie edge if there is one,
       else the failure link's transition), so the table is complete;
-    - ``depth[s]`` is the length of prefix(s);
-    - ``rule[s]`` is the lowest index k of a word equal to prefix(s), or
-      -1 (for a RuleSet's index, word k is the lhs of rule k);
-    - ``suffix[s]`` (the dictionary-suffix link) is the longest proper
-      suffix state along the failure links whose ``rule`` is set, or -1;
     - ``low[s]`` is the lowest index k of a word that is a suffix of
-      prefix(s), or the number of words if there is none.
+      prefix(s), or the number of words if there is none (for a RuleSet's
+      index, word k is the lhs of rule k).
 
     After reading any text from state 0 the current state is the longest
-    suffix of the text that is a prefix of some word, and the words that
-    end at the last letter are ``rule`` of that state and of the states on
-    its ``suffix`` chain, longest first.  Building costs O(total length of
-    the words + states * alphabet_size); failure links are found
-    breadth-first, so a state's link is always numbered before it.
+    suffix of the text that is a prefix of some word, and ``low`` of that
+    state is the lowest index of a word ending at the last letter.
+    Building costs O(total length of the words + states * alphabet_size);
+    failure links are found breadth-first, so a state's link is always
+    numbered before it.
     """
 
     def __init__(self, words, alphabet_size):
         words = list(words)
-        trie, ends = [{}], [-1]
+        # ends[v] is the lowest index of a word ending at trie node v, or
+        # none (the number of words), bound once so that every state
+        # without a match shares one int object
+        none = len(words)
+        trie, ends = [{}], [none]
         for k, w in enumerate(words):
             if not w:
                 raise ValueError("leading words must be nonempty")
@@ -83,15 +83,13 @@ class LeadingWordIndex:
                 if nxt is None:
                     nxt = trie[v][c] = len(trie)
                     trie.append({})
-                    ends.append(-1)
+                    ends.append(none)
                 v = nxt
-            if ends[v] < 0:
-                ends[v] = k
+            ends[v] = min(ends[v], k)
         # order[s] is the trie node of state s; a child is numbered when its
         # parent is expanded and takes its failure link from the parent's
-        order = [0]
-        fail, self.depth, self.rule, self.suffix = [0], [0], [ends[0]], [-1]
-        self.low = [len(words)]
+        order, fail = [0], [0]
+        self.low = [none]
         self.goto = []
         for s, v in enumerate(order):
             back = self.goto[fail[s]] if s else [0] * alphabet_size
@@ -99,13 +97,8 @@ class LeadingWordIndex:
             for c, child in sorted(trie[v].items()):
                 row[c] = len(order)
                 order.append(child)
-                f = back[c]
-                fail.append(f)
-                self.depth.append(self.depth[s] + 1)
-                k = ends[child]
-                self.rule.append(k)
-                self.suffix.append(f if self.rule[f] >= 0 else self.suffix[f])
-                self.low.append(self.low[f] if k < 0 else min(k, self.low[f]))
+                fail.append(back[c])
+                self.low.append(min(ends[child], self.low[back[c]]))
             self.goto.append(row)
 
 
@@ -200,30 +193,14 @@ def find_first_forbidden(w, rs):
     """Leftmost occurrence of any leading word in w, as (position, rule).
 
     Leftmost means the earliest start; ties at the same position go to the
-    lowest-index rule.  Returns None if w is reduced.  One pass of
-    ``rs.index`` over w, reading at each letter the leading words that end
-    there along the dictionary-suffix links; it stops once no later
-    match can start at or before the best position found.
+    lowest-index rule.  Returns None if w is reduced, which one
+    ``reduce_once`` pass decides; only a reducible w is then scanned rule
+    by rule.
     """
-    index = rs.index
-    goto, depth, rule, suffix = index.goto, index.depth, index.rule, index.suffix
-    best_pos, best_k = len(w), -1
-    s = 0
-    try:
-        for end, c in enumerate(w, 1):
-            s = goto[s][c]
-            # every match still to come starts at or after end - depth[s]
-            if end - depth[s] > best_pos:
-                break
-            t = s if rule[s] >= 0 else suffix[s]
-            while t >= 0:
-                pos, k = end - depth[t], rule[t]
-                if pos < best_pos or (pos == best_pos and k < best_k):
-                    best_pos, best_k = pos, k
-                t = suffix[t]
-    except IndexError:
-        raise _outside_alphabet(w, rs.alphabet_size) from None
-    return None if best_k < 0 else (best_pos, rs.rules[best_k])
+    if reduce_once(w, rs) is None:
+        return None
+    pos, _, rule = min((w.find(r.lhs), k, r) for k, r in enumerate(rs.rules) if r.lhs in w)
+    return pos, rule
 
 
 class Ambiguity(NamedTuple):

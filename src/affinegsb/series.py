@@ -64,7 +64,11 @@ class TruncatedSeries:
 
 
 def geometric_factor(k, degree):
-    """The polynomial 1 - x^k as a truncated series."""
+    """1 - x^k as a truncated series; ValueError for k < 1 or a negative degree."""
+    if k < 1:
+        raise ValueError(f"geometric factor needs k >= 1, got {k}")
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     if k <= degree:
@@ -185,7 +189,7 @@ def count_reduced(rs, max_len):
     For a completed basis this counts group elements by length.  Raises
     ValueError for a negative max_len, from ``count_by_length``.
     """
-    auto = FactorAutomaton(sorted(rs.leading_words()), rs.alphabet_size)
+    auto = FactorAutomaton(rs.leading_words(), rs.alphabet_size)
     return TruncatedSeries.from_list(auto.count_by_length(max_len), max_len)
 
 

@@ -90,6 +90,60 @@ def test_library_reads_every_private_name():
     assert dead_private_names(sources) == []
 
 
+def _attribute_loads(node):
+    """How often each attribute name is read under node."""
+    return Counter(
+        n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unread_attributes(sources, readers=()):
+    """Attributes that sources store on ``self`` and that no code outside
+    the storing functions reads, in sources or readers, as ``.name``;
+    sorted by name."""
+    trees = [ast.parse(source) for source in sources]
+    read = sum(map(_attribute_loads, trees + [ast.parse(s) for s in readers]), Counter())
+    stored = {}
+    for tree in trees:
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for n in ast.walk(func):
+                if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                    stored.setdefault(n.attr, set()).add(func)
+    return sorted(
+        name for name, funcs in stored.items()
+        if read[name] == sum(_attribute_loads(f)[name] for f in funcs)
+    )
+
+
+def test_unread_attributes_are_found():
+    sources = [
+        "class Index:\n"
+        "    def __init__(self, words):\n"
+        "        self.goto, self.depth = [], [0]\n"
+        "        for w in words:\n"
+        "            self.depth.append(self.depth[-1] + len(w))\n"
+        "        self.low = []\n"
+        "        self.seen = set()\n"
+        "    def add(self, w):\n"
+        "        self.seen.add(w)\n",
+        "def walk(index):\n    return index.goto\n",
+    ]
+    readers = ["def test_low(index):\n    assert index.low == []\n"]
+    assert unread_attributes(sources) == ["depth", "low"]
+    assert unread_attributes(sources, readers) == ["depth"]
+
+
+def test_library_reads_every_attribute_it_stores():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    tests = Path(__file__).resolve().parent
+    readers = [path.read_text(encoding="utf-8") for path in sorted(tests.glob("*.py"))]
+    assert unread_attributes(sources, readers) == []
+
+
 def absolute_imports(source):
     """Top-level module names of a module's absolute imports, in order."""
     names = []

@@ -223,9 +223,11 @@ def test_membership_matches_scan_over_explicit_basis(n):
 
 
 def test_membership_rejects_symbol_outside_alphabet(explicit2):
-    for query in (is_reduced, find_first_forbidden):
-        with pytest.raises(RankMismatchError):
-            query(b"\x01\x05", explicit2)
+    # in r1 r1 r2 7 a leading word starts before the unknown symbol
+    for w in (b"\x01\x05", bytes([1, 1, 2, 7])):
+        for query in (is_reduced, find_first_forbidden):
+            with pytest.raises(RankMismatchError):
+                query(w, explicit2)
 
 
 def test_reduce_once_rejects_symbol_outside_alphabet(explicit2):

@@ -126,8 +126,12 @@ def test_poincare_constant_and_first():
         (lambda: poincare_affine_a(0, 5), "rank >= 1, got 0"),
         (lambda: FactorAutomaton([b"\x00"], 2).count_by_length(-1), "degree -1 is negative"),
         (lambda: count_reduced(g_families(2), -1), "degree -1 is negative"),
+        (lambda: geometric_factor(0, 4), "k >= 1, got 0"),
+        (lambda: geometric_factor(-2, 4), "k >= 1, got -2"),
+        (lambda: geometric_factor(1, -1), "degree -1 is negative"),
     ],
-    ids=["poincare degree", "poincare rank", "count_by_length", "count_reduced"],
+    ids=["poincare degree", "poincare rank", "count_by_length", "count_reduced",
+         "geometric_factor zero", "geometric_factor negative", "geometric_factor degree"],
 )
 def test_negative_degree_or_rank_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):

@@ -22,6 +22,7 @@ from affinegsb.word_classes import (
     rebuild,
     skeletons,
 )
+from affinegsb.words import RankMismatchError
 
 
 def test_block_word():
@@ -226,6 +227,13 @@ def test_classify_reports_position(explicit2):
     with pytest.raises(NotReducedError) as exc:
         classify(bytes([2, 0, 0]), 2, explicit2)
     assert exc.value.position == 1
+
+
+def test_classify_rejects_symbol_outside_alphabet(explicit2):
+    # r1 r1 is a leading word before it, but a symbol outside the alphabet
+    # is a rank mismatch wherever it stands
+    with pytest.raises(RankMismatchError):
+        classify(bytes([1, 1, 2, 7]), 2, explicit2)
 
 
 def test_classify_empty_word(explicit3):
