@@ -244,14 +244,51 @@ def _pair_ambiguities(i, li, j, lj):
     return out
 
 
+def _file(table, k, words):
+    """Append rule index k to the list of each word in words."""
+    for w in words:
+        table.setdefault(w, []).append(k)
+
+
+def _by_word(amb):
+    """Sort key of ambiguities: deg-lex of the word, then the tuple."""
+    return deglex_key(amb.word), amb
+
+
+def _ambiguities_by_pair(rs):
+    """Every ambiguity of rs, by ascending rule pair (i, j), unsorted.
+
+    ``_pair_ambiguities`` runs only on the pairs that have one.  Rule j
+    meets lhs_i in an intersection exactly when lhs_j starts with a
+    proper suffix of lhs_i; a table that files every rule under each
+    proper prefix of its lhs names those rules.  lhs_j lies inside lhs_i
+    (j != i) exactly when it ends at a letter where one pass of
+    ``rs.index`` over lhs_i reports a leading word; only the factors
+    ending at such a letter are looked up.
+    """
+    rules = rs.rules
+    prefixes, by_lhs = {}, {}
+    for k, (lhs, _) in enumerate(rules):
+        _file(prefixes, k, (lhs[:t] for t in range(1, len(lhs))))
+        _file(by_lhs, k, (lhs,))
+    goto, low, none = rs.index.goto, rs.index.low, len(rules)
+    for i, (li, _) in enumerate(rules):
+        meets, inside, s = set(), set(), 0
+        for p in range(1, len(li)):
+            meets.update(prefixes.get(li[p:], ()))
+        for q, c in enumerate(li, 1):
+            s = goto[s][c]
+            if low[s] < none:
+                for p in range(q):
+                    inside.update(by_lhs.get(li[p:q], ()))
+        inside.discard(i)
+        for j in sorted(meets | inside):
+            yield from _pair_ambiguities(i, li, j, rules[j].lhs)
+
+
 def ambiguities(rs):
     """All ambiguities over ordered rule pairs, ascending by deg-lex of word."""
-    out = []
-    for i, ri in enumerate(rs.rules):
-        for j, rj in enumerate(rs.rules):
-            out.extend(_pair_ambiguities(i, ri.lhs, j, rj.lhs))
-    out.sort(key=lambda a: (deglex_key(a.word), a))
-    return out
+    return sorted(_ambiguities_by_pair(rs), key=_by_word)
 
 
 def _descendants(amb, rules, rs):
@@ -308,13 +345,16 @@ def is_gs_basis(rs):
     """Check confluence by composing every ambiguity that is not composite.
 
     Returns (True, []) or (False, witnesses) with the failing prime
-    ambiguities.  The flag is the same as if every ambiguity were
-    composed: by induction on the length of the word, a composite one is
-    trivial modulo its word once all shorter ones are, and a confluent
-    basis makes every composition trivial.
+    ambiguities, in the order of ``ambiguities``.  The flag is the same as
+    if every ambiguity were composed: by induction on the length of the
+    word, a composite one is trivial modulo its word once all shorter ones
+    are, and a confluent basis makes every composition trivial.
+    Ambiguities are composed in the order they are found; only the
+    witnesses are sorted.
     """
-    witnesses = [a for a in ambiguities(rs)
+    witnesses = [a for a in _ambiguities_by_pair(rs)
                  if not _composite(a, rs.rules, rs) and composition_remainder(a, rs) is not None]
+    witnesses.sort(key=_by_word)
     return (not witnesses, witnesses)
 
 
@@ -337,7 +377,9 @@ class _Completion:
     every composition of the live rules is trivial and they form a
     Groebner-Shirshov basis; ``complete`` drains once and certifies the
     interreduction, raising ValueError rather than draining again if the
-    certificate fails.
+    certificate fails.  ``prefixes`` and ``suffixes`` file every rule
+    created under each proper prefix and each proper suffix of its lhs;
+    they name the live rules a new rule overlaps.
     """
 
     def __init__(self, alphabet_size, max_rules, max_degree):
@@ -346,6 +388,8 @@ class _Completion:
         self.rules = []
         self.live = RuleSet((), alphabet_size)
         self.pending = []
+        self.prefixes = {}
+        self.suffixes = {}
 
     def add_equation(self, u, v):
         u = normal_form(u, self.live)
@@ -358,20 +402,32 @@ class _Completion:
         if idx >= self.max_rules:
             raise CompletionLimitError(f"rule limit {self.max_rules} exceeded", self.live)
         self.rules.append(rule)
+        lhs = rule.lhs
+        _file(self.prefixes, idx, (lhs[:t] for t in range(1, len(lhs))))
+        _file(self.suffixes, idx, (lhs[t:] for t in range(1, len(lhs))))
         # prune existing rules whose lhs became reducible; re-add as equations
         stale = []
         for k, r in enumerate(self.rules):
-            if r is not None and k != idx and rule.lhs in r.lhs:
+            if r is not None and k != idx and lhs in r.lhs:
                 self.rules[k] = None
                 stale.append(r)
         self.live = RuleSet([r for r in self.rules if r is not None], self.live.alphabet_size)
-        for k, r in enumerate(self.rules):
-            if r is not None:
-                for amb in _pair_ambiguities(idx, rule.lhs, k, r.lhs):
+        # lhs is normal under the other live rules, and every lhs containing
+        # it is pruned, so it meets a live rule k only in a proper overlap:
+        # lhs_k starts with a proper suffix of lhs (the pair (idx, k)) or
+        # ends with a proper prefix of it (the pair (k, idx))
+        after = {k for p in range(1, len(lhs)) for k in self.prefixes.get(lhs[p:], ())}
+        before = {k for t in range(1, len(lhs)) for k in self.suffixes.get(lhs[:t], ())}
+        for k in sorted(after | before):
+            r = self.rules[k]
+            if r is None:
+                continue
+            if k in after:
+                for amb in _pair_ambiguities(idx, lhs, k, r.lhs):
                     self._push(amb)
-                if k != idx:
-                    for amb in _pair_ambiguities(k, r.lhs, idx, rule.lhs):
-                        self._push(amb)
+            if k in before and k != idx:
+                for amb in _pair_ambiguities(k, r.lhs, idx, lhs):
+                    self._push(amb)
         for r in stale:
             self.add_equation(r.lhs, r.rhs)
 

@@ -22,6 +22,7 @@ from affinegsb.rewriting import (
     normal_form,
     reduce_once,
     _Completion,
+    _composite,
     _pair_ambiguities,
 )
 from affinegsb.series import count_reduced
@@ -289,6 +290,72 @@ def test_pair_ambiguities_match_slice_loop(size):
     assert found
 
 
+def ambiguities_by_all_pairs(rs):
+    """The ambiguities of every ordered rule pair, ascending by deg-lex of
+    word (then by the ambiguity tuple)."""
+    out = [a for i, ri in enumerate(rs.rules) for j, rj in enumerate(rs.rules)
+           for a in _pair_ambiguities(i, ri.lhs, j, rj.lhs)]
+    return sorted(out, key=lambda a: (deglex_key(a.word), a))
+
+
+def tangled_rule_set(seed):
+    """Seeded rules over 2 or 3 letters that are not interreduced: some
+    leading words are factors of earlier ones or equal to one with another
+    rhs, and short words over few letters often overlap themselves."""
+    rng = random.Random(seed)
+    size = rng.choice((2, 3))
+    rules = []
+    for _ in range(rng.randint(2, 12)):
+        if rules and rng.random() < 0.35:
+            w = rng.choice(rules).lhs
+            a = rng.randrange(len(w))
+            u = w[a:rng.randint(a + 1, len(w))]
+        else:
+            u = bytes(rng.randrange(size) for _ in range(rng.randint(1, 7)))
+        rule = Rule(u, bytes(rng.randrange(size) for _ in range(rng.randrange(len(u)))))
+        if rule not in rules:
+            rules.append(rule)
+    return RuleSet(rules, size)
+
+
+TANGLED = [tangled_rule_set(seed) for seed in range(300)]
+
+
+def test_tangled_rule_sets_nest_repeat_and_self_overlap():
+    # the generator covers every case the ambiguity tables must find
+    lhs = [[r.lhs for r in rs.rules] for rs in TANGLED]
+    assert sum(len(set(ws)) < len(ws) for ws in lhs) >= 30
+    assert sum(any(u != w and u in w for u in ws for w in ws) for ws in lhs) >= 100
+    assert sum(any(a.i == a.j for a in ambiguities(rs)) for rs in TANGLED) >= 100
+
+
+@pytest.mark.parametrize("sets", [
+    pytest.param(lambda: TANGLED, id="tangled"),
+    pytest.param(lambda: [g_families(n) for n in range(2, 7)], id="explicit"),
+    pytest.param(lambda: [complete(H3), complete(F4)], id="completed-H3-F4"),
+])
+def test_ambiguities_match_all_pairs(sets, monkeypatch):
+    # the prefix table and the index pass name exactly the pairs that have
+    # an ambiguity, and is_gs_basis finds the witnesses of the sorted list
+    empty = []
+
+    def pair_ambiguities(i, li, j, lj):
+        out = _pair_ambiguities(i, li, j, lj)
+        if not out:
+            empty.append((i, j))
+        return out
+
+    for rs in sets():
+        expected = ambiguities_by_all_pairs(rs)
+        monkeypatch.setattr(rewriting, "_pair_ambiguities", pair_ambiguities)
+        assert ambiguities(rs) == expected
+        witnesses = [a for a in expected
+                     if not _composite(a, rs.rules, rs) and composition_remainder(a, rs) is not None]
+        assert is_gs_basis(rs) == (not witnesses, witnesses)
+        monkeypatch.undo()
+        assert empty == [], rs
+
+
 def test_ambiguities_self_overlap():
     ambs = ambiguities(INVOLUTION)
     assert len(ambs) == 1
@@ -449,6 +516,121 @@ def test_complete_returns_its_certified_reduced_basis(name):
     r = complete(DRAIN_CASES[name])
     assert interreduce(r).rules == r.rules
     assert is_gs_basis(r) == (True, [])
+
+
+class AllPairsCompletion(_Completion):
+    """Completion whose add_equation pairs the new rule with every live rule."""
+
+    def add_equation(self, u, v):
+        u = normal_form(u, self.live)
+        v = normal_form(v, self.live)
+        if u == v:
+            return
+        rule = make_rule(u, v)
+        idx = len(self.rules)
+        if idx >= self.max_rules:
+            raise CompletionLimitError(f"rule limit {self.max_rules} exceeded", self.live)
+        self.rules.append(rule)
+        stale = []
+        for k, r in enumerate(self.rules):
+            if r is not None and k != idx and rule.lhs in r.lhs:
+                self.rules[k] = None
+                stale.append(r)
+        self.live = RuleSet([r for r in self.rules if r is not None], self.live.alphabet_size)
+        for k, r in enumerate(self.rules):
+            if r is not None:
+                for amb in _pair_ambiguities(idx, rule.lhs, k, r.lhs):
+                    self._push(amb)
+                if k != idx:
+                    for amb in _pair_ambiguities(k, r.lhs, idx, rule.lhs):
+                        self._push(amb)
+        for r in stale:
+            self.add_equation(r.lhs, r.rhs)
+
+
+def completion_pushes(state_class, rs, max_degree=64, max_rules=300):
+    """Every ambiguity pushed while completing rs, in push order, with the
+    rule table and the limit message (None if no limit was hit)."""
+    state = state_class(rs.alphabet_size, max_rules=max_rules, max_degree=max_degree)
+    pushed = []
+    push = state._push
+
+    def record(amb):
+        pushed.append(amb)
+        push(amb)
+
+    state._push = record
+    try:
+        for r in rs.rules:
+            state.add_equation(r.lhs, r.rhs)
+        state.drain()
+    except CompletionLimitError as exc:
+        return pushed, state.rules, str(exc)
+    return pushed, state.rules, None
+
+
+def random_presentation(seed):
+    """Seeded relations over 2 or 3 letters; completion may hit a limit."""
+    rng = random.Random(seed)
+    size = rng.choice((2, 3))
+    rules, count = set(), rng.randint(1, 4)
+    while len(rules) < count:
+        u = bytes(rng.randrange(size) for _ in range(rng.randint(1, 4)))
+        v = bytes(rng.randrange(size) for _ in range(rng.randint(0, 4)))
+        if u != v:
+            rules.add(make_rule(u, v))
+    return RuleSet(sorted(rules), size)
+
+
+def assert_pushes_as_with_every_live_rule(rs):
+    # the tables name exactly the live rules the new rule overlaps, so
+    # the same ambiguities are queued in the same order, the same rules
+    # are created and pruned, and the same limit is hit
+    expected = completion_pushes(AllPairsCompletion, rs, max_degree=24)
+    assert completion_pushes(_Completion, rs, max_degree=24) == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", DRAIN_CASES)
+def test_completion_pushes_as_with_every_live_rule(name):
+    assert assert_pushes_as_with_every_live_rule(DRAIN_CASES[name])[0]
+
+
+def test_completion_pushes_as_with_every_live_rule_on_random_presentations():
+    runs = [assert_pushes_as_with_every_live_rule(random_presentation(seed)) for seed in range(40)]
+    assert sum(any(r is None for r in rules) for _, rules, _ in runs) >= 10
+    assert sum(message is not None for _, _, message in runs) >= 2
+
+
+def test_degree_limit_names_first_ambiguity_pushed_over_it():
+    # H3 first pushes a degree-18 ambiguity over the limit 15, and later
+    # ambiguities of degree 16 and 17
+    pushed, _, message = completion_pushes(AllPairsCompletion, H3)
+    assert message is None
+    over = [len(a.word) for a in pushed if len(a.word) > 15]
+    assert over[0] == 18 and {16, 17} <= set(over)
+    pushed, _, message = completion_pushes(_Completion, H3, max_degree=15)
+    assert message == "ambiguity degree 18 exceeds limit 15"
+    assert len(pushed[-1].word) == 18 and max(len(a.word) for a in pushed[:-1]) <= 15
+
+
+def test_ambiguity_listing_calls_only_overlapping_pairs(monkeypatch):
+    # deterministic counts for affine A6; pairing every rule with every
+    # rule makes 58,482 calls for complete (29,241 of them certifying) and
+    # 29,241 for is_gs_basis alone
+    calls = []
+
+    def pair_ambiguities(i, li, j, lj):
+        out = _pair_ambiguities(i, li, j, lj)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(rewriting, "_pair_ambiguities", pair_ambiguities)
+    basis = complete(affine_a(6).to_rules())
+    assert len(calls) <= 11_496
+    calls.clear()
+    assert is_gs_basis(basis) == (True, [])
+    assert len(calls) <= 5_748 and 0 not in calls
 
 
 def is_reduced_by_first_forbidden(w, rs):
