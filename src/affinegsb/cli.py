@@ -69,7 +69,7 @@ def _nonneg_int(text):
 def _add_limit_flags(sub):
     unused = "; unused by --builtin affine-a, which runs no completion"
     sub.add_argument("--max-rules", type=_nonneg_int, default=100000,
-                     help="most rules completion may create, pruned ones included" + unused)
+                     help="most rules completion may create, superseded ones included" + unused)
     sub.add_argument("--max-degree", type=_nonneg_int, default=64,
                      help="longest ambiguity word completion may queue "
                      "(not the longest rule)" + unused)

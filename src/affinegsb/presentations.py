@@ -53,6 +53,8 @@ class CoxeterMatrix:
         g = len(m)
         if any(len(row) != g for row in m):
             raise PresentationError("Coxeter matrix must be square")
+        if any(type(e) is not int for row in m for e in row):
+            raise PresentationError("Coxeter matrix entries must be integers")
         for i in range(g):
             if m[i][i] != 1:
                 raise PresentationError("Coxeter matrix diagonal must be 1")

@@ -24,7 +24,8 @@ class Rule(NamedTuple):
 class CompletionLimitError(RuntimeError):
     """Raised when completion exceeds its resource limits.
 
-    The partial rule set reached so far is attached as ``partial``.
+    The partial rule set reached so far is attached as ``partial``; it
+    may hold rules that a later rule supersedes.
     """
 
     def __init__(self, message, partial):
@@ -291,9 +292,9 @@ def ambiguities(rs):
     return sorted(_ambiguities_by_pair(rs), key=_by_word)
 
 
-def _descendants(amb, rules, rs):
-    """The two one-step rewrites of the ambiguity word, by ``rules[amb.i]``
-    at its start and ``rules[amb.j]`` at offset_j, reduced under rs until
+def _descendants(amb, rs):
+    """The two one-step rewrites of the ambiguity word, by rule amb.i of
+    rs at its start and rule amb.j at offset_j, reduced under rs until
     they meet.
 
     Returns two equal words if their normal forms are equal, and else the
@@ -305,7 +306,7 @@ def _descendants(amb, rules, rs):
     the greater word is irreducible, it is its normal form and the smaller
     one is reduced to its own.
     """
-    ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
+    ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
     x, y = ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]
     while x != y:
         if deglex_greater(y, x):
@@ -323,13 +324,13 @@ def composition_remainder(amb, rs):
     A difference of the normal forms of the two descendants is the
     remainder rule.
     """
-    x, y = _descendants(amb, rs.rules, rs)
+    x, y = _descendants(amb, rs)
     if x == y:
         return None
     return make_rule(x, y)
 
 
-def _composite(amb, rules, rs):
+def _composite(amb, rs):
     """True if amb is an intersection whose word has a leading word of rs
     strictly inside (touching neither end).
 
@@ -338,7 +339,7 @@ def _composite(amb, rules, rs):
     once they are (Kapur, Musser & Narendran, JSC 1988).  Inclusions are
     never composite.
     """
-    return len(amb.word) > len(rules[amb.i].lhs) and not is_reduced(amb.word[1:-1], rs)
+    return len(amb.word) > len(rs.rules[amb.i].lhs) and not is_reduced(amb.word[1:-1], rs)
 
 
 def is_gs_basis(rs):
@@ -353,39 +354,37 @@ def is_gs_basis(rs):
     witnesses are sorted.
     """
     witnesses = [a for a in _ambiguities_by_pair(rs)
-                 if not _composite(a, rs.rules, rs) and composition_remainder(a, rs) is not None]
+                 if not _composite(a, rs) and composition_remainder(a, rs) is not None]
     witnesses.sort(key=_by_word)
     return (not witnesses, witnesses)
 
 
 class _Completion:
-    """Mutable completion state: a rule table plus an ambiguity queue.
+    """Mutable completion state: an append-only rule table plus an ambiguity queue.
 
-    ``rules[k]`` is the k-th rule created, or None once it is pruned;
-    queued ambiguities refer to rules by this index.  ``live`` is the
-    RuleSet of the rules not pruned, in creation order, so that
-    ``normal_form`` over it applies the lowest-index rule first; it is
-    replaced, never mutated, when a rule is added or pruned, so no index
-    built over an earlier ``live`` is ever used for the new one.
+    ``live`` is the RuleSet of every rule created, in creation order, so
+    that ``normal_form`` over it applies the lowest-index rule first and
+    queued ambiguities refer to rules by their index in ``live.rules``.
+    It only grows: a rule whose lhs contains a later lhs stays, and the
+    inclusion is queued like an overlap.  It is replaced, never mutated,
+    when a rule is added, so no index built over an earlier ``live`` is
+    ever used for the new one.
 
-    Invariant: the ambiguities of every pair of live rules are queued when
-    the later of the two is added.  ``drain`` skips an ambiguity that is
-    composite with respect to the live rules: the two ambiguities through
-    the inner leading word are shorter, so the heap popped them first, and
-    if the inner rule is pruned later, the lhs that pruned it is a factor
-    of its lhs and still inside.  So once ``drain`` has emptied the queue,
-    every composition of the live rules is trivial and they form a
-    Groebner-Shirshov basis; ``complete`` drains once and certifies the
-    interreduction, raising ValueError rather than draining again if the
-    certificate fails.  ``prefixes`` and ``suffixes`` file every rule
-    created under each proper prefix and each proper suffix of its lhs;
-    they name the live rules a new rule overlaps.
+    Invariant: the ambiguities of every pair of rules are queued when the
+    later of the two is added.  ``drain`` skips an ambiguity that is
+    composite with respect to ``live``: the two ambiguities through the
+    inner leading word are shorter, so the heap popped them first.  So
+    once ``drain`` has emptied the queue, every composition is trivial and
+    ``live`` is a Groebner-Shirshov basis; ``complete`` drains once and
+    certifies the interreduction, raising ValueError rather than draining
+    again if the certificate fails.  ``prefixes`` and ``suffixes`` file
+    every rule under each proper prefix and each proper suffix of its lhs;
+    they name the rules a new rule overlaps.
     """
 
     def __init__(self, alphabet_size, max_rules, max_degree):
         self.max_rules = max_rules
         self.max_degree = max_degree
-        self.rules = []
         self.live = RuleSet((), alphabet_size)
         self.pending = []
         self.prefixes = {}
@@ -396,40 +395,30 @@ class _Completion:
         v = normal_form(v, self.live)
         if u == v:
             return
-        # both sides are normal, so no live rule has this lhs already
+        # both sides are normal, so no rule has this lhs already
         rule = make_rule(u, v)
-        idx = len(self.rules)
+        idx = len(self.live)
         if idx >= self.max_rules:
             raise CompletionLimitError(f"rule limit {self.max_rules} exceeded", self.live)
-        self.rules.append(rule)
+        rules = self.live.rules + (rule,)
+        self.live = RuleSet(rules, self.live.alphabet_size)
         lhs = rule.lhs
         _file(self.prefixes, idx, (lhs[:t] for t in range(1, len(lhs))))
         _file(self.suffixes, idx, (lhs[t:] for t in range(1, len(lhs))))
-        # prune existing rules whose lhs became reducible; re-add as equations
-        stale = []
-        for k, r in enumerate(self.rules):
-            if r is not None and k != idx and lhs in r.lhs:
-                self.rules[k] = None
-                stale.append(r)
-        self.live = RuleSet([r for r in self.rules if r is not None], self.live.alphabet_size)
-        # lhs is normal under the other live rules, and every lhs containing
-        # it is pruned, so it meets a live rule k only in a proper overlap:
-        # lhs_k starts with a proper suffix of lhs (the pair (idx, k)) or
-        # ends with a proper prefix of it (the pair (k, idx))
+        # lhs is normal under the older rules, so it meets a rule k in a
+        # proper overlap, lhs_k starting with a proper suffix of lhs (the
+        # pair (idx, k)) or ending with a proper prefix of it (the pair
+        # (k, idx)), or lies inside lhs_k (the pair (k, idx) again)
         after = {k for p in range(1, len(lhs)) for k in self.prefixes.get(lhs[p:], ())}
         before = {k for t in range(1, len(lhs)) for k in self.suffixes.get(lhs[:t], ())}
+        before.update(k for k in range(idx) if lhs in rules[k].lhs)
         for k in sorted(after | before):
-            r = self.rules[k]
-            if r is None:
-                continue
             if k in after:
-                for amb in _pair_ambiguities(idx, lhs, k, r.lhs):
+                for amb in _pair_ambiguities(idx, lhs, k, rules[k].lhs):
                     self._push(amb)
             if k in before and k != idx:
-                for amb in _pair_ambiguities(k, r.lhs, idx, lhs):
+                for amb in _pair_ambiguities(k, rules[k].lhs, idx, lhs):
                     self._push(amb)
-        for r in stale:
-            self.add_equation(r.lhs, r.rhs)
 
     def _push(self, amb):
         if len(amb.word) > self.max_degree:
@@ -442,10 +431,9 @@ class _Completion:
     def drain(self):
         while self.pending:
             _, amb = heapq.heappop(self.pending)
-            if (self.rules[amb.i] is None or self.rules[amb.j] is None
-                    or _composite(amb, self.rules, self.live)):
+            if _composite(amb, self.live):
                 continue
-            x, y = _descendants(amb, self.rules, self.live)
+            x, y = _descendants(amb, self.live)
             if x != y:
                 self.add_equation(x, y)
 

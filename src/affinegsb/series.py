@@ -30,9 +30,13 @@ class TruncatedSeries:
 
     @classmethod
     def from_list(cls, coeffs, degree=None):
+        """The series of coeffs, padded with zeros or cut to ``degree``;
+        ValueError for a negative degree."""
         coeffs = list(coeffs)
         if degree is None:
             degree = len(coeffs) - 1
+        elif degree < 0:
+            raise ValueError(f"degree {degree} is negative")
         coeffs = (coeffs + [0] * (degree + 1))[: degree + 1]
         return cls(tuple(coeffs))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .affine_basis import r_range
 from .rewriting import find_first_forbidden
-from .words import EMPTY
+from .words import EMPTY, RankMismatchError
 
 K_STEP = "k"  # next component narrows the descending run (k -> k+1)
 L_STEP = "l"  # next component shortens the ascending run (l -> l-1)
@@ -385,8 +385,13 @@ def classify(w, n, basis):
     """Decompose a reduced word into its r0-free prefix and arranged part.
 
     Raises NotReducedError (with the offending factor's position and rule)
-    if the word contains a leading word of ``basis``, i.e. g_families(n).
+    if the word contains a leading word of ``basis``, i.e. g_families(n),
+    and RankMismatchError if ``basis`` is over another alphabet than the
+    n + 1 symbols r0..rn.
     """
+    if basis.alphabet_size != n + 1:
+        raise RankMismatchError(
+            f"basis over {basis.alphabet_size} symbols, rank {n} needs {n + 1}")
     hit = find_first_forbidden(w, basis)
     if hit is not None:
         pos, rule = hit

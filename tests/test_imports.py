@@ -49,12 +49,13 @@ def _loads(node):
     )
 
 
-def dead_private_names(sources):
-    """Module-level private functions, classes and assignments that no code
-    outside their own definition reads, in order of definition."""
+def _unread_definitions(sources, readers, wanted):
+    """Module-level definitions of sources, kept by ``wanted(name, node)``,
+    that no code outside their own definition reads, in sources or
+    readers, as a name or an attribute; in order of definition."""
     trees = [ast.parse(source) for source in sources]
-    read = sum((_loads(tree) for tree in trees), Counter())
-    dead = []
+    read = sum(map(_loads, trees + [ast.parse(s) for s in readers]), Counter())
+    unread = []
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -64,12 +65,27 @@ def dead_private_names(sources):
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            dead += [
+            unread += [
                 name for name in names
-                if name.startswith("_") and not name.endswith("__")
-                and read[name] == _loads(node)[name]
+                if wanted(name, node) and read[name] == _loads(node)[name]
             ]
-    return dead
+    return unread
+
+
+def dead_private_names(sources):
+    """Module-level private functions, classes and assignments that no code
+    outside their own definition reads, in order of definition."""
+    return _unread_definitions(
+        sources, (), lambda name, node: name.startswith("_") and not name.endswith("__"))
+
+
+def unread_public_names(sources, readers=()):
+    """Module-level public functions and classes that no code outside their
+    own definition reads, in sources or readers, in order of definition."""
+    return _unread_definitions(
+        sources, readers,
+        lambda name, node: not name.startswith("_")
+        and isinstance(node, (ast.FunctionDef, ast.ClassDef)))
 
 
 def test_dead_private_names_are_found():
@@ -88,6 +104,34 @@ def test_dead_private_names_are_found():
 def test_library_reads_every_private_name():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert dead_private_names(sources) == []
+
+
+def test_unread_public_names_are_found():
+    sources = [
+        "LIMIT = 3\n"
+        "def rec(x):\n    return rec(x - 1)\n"
+        "def helper():\n    pass\n"
+        "class Used:\n    pass\n"
+        "def _private():\n    pass\n",
+        "from .a import Used\n"
+        "def run():\n    return Used(), a.helper_attr_is_not_a_definition\n",
+    ]
+    readers = ["def job(lib):\n    return lib.a.helper(), lib.b.run()\n"]
+    assert unread_public_names(sources) == ["rec", "helper", "run"]
+    assert unread_public_names(sources, readers) == ["rec"]
+
+
+# references kept for tests: rebuild inverts marked_components in the
+# round-trip tests, and the acceptance tests import the other two
+TEST_REFERENCES = ["rebuild", "box_partitions", "bfs_count_oracle"]
+
+
+def test_every_public_name_is_read_by_library_or_bench():
+    # no public function or class exists only for its own unit test
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    bench = SRC.parent.parent / "bench"
+    readers = [path.read_text(encoding="utf-8") for path in sorted(bench.glob("*.py"))]
+    assert sorted(unread_public_names(sources, readers)) == sorted(TEST_REFERENCES)
 
 
 def _attribute_loads(node):

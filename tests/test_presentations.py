@@ -206,6 +206,10 @@ def test_parse_rejects_repeated_or_trivial_relation(text, line, message):
                  id="coxeter-not-square"),
     pytest.param(lambda: CoxeterMatrix(((1, 1), (1, 1))), "off-diagonal entry m[0][1] < 2",
                  id="coxeter-entry-below-2"),
+    pytest.param(lambda: CoxeterMatrix(((1, 2.5), (2.5, 1))),
+                 "Coxeter matrix entries must be integers", id="coxeter-float-entry"),
+    pytest.param(lambda: CoxeterMatrix(((True, 3), (3, 1))),
+                 "Coxeter matrix entries must be integers", id="coxeter-bool-entry"),
 ])
 def test_input_checks_raise_their_message(build, message):
     with pytest.raises(PresentationError) as exc:

@@ -252,7 +252,7 @@ def test_index_follows_completion_live_rules():
     state.add_equation(b"\x00\x00", b"")
     assert is_reduced(b"\x01\x01", state.live)  # builds the index of live
     state.add_equation(b"\x01\x01", b"")
-    new_rule = state.rules[-1]
+    new_rule = state.live.rules[-1]
     assert new_rule.lhs == b"\x01\x01"
     assert not is_reduced(new_rule.lhs, state.live)
 
@@ -350,7 +350,7 @@ def test_ambiguities_match_all_pairs(sets, monkeypatch):
         monkeypatch.setattr(rewriting, "_pair_ambiguities", pair_ambiguities)
         assert ambiguities(rs) == expected
         witnesses = [a for a in expected
-                     if not _composite(a, rs.rules, rs) and composition_remainder(a, rs) is not None]
+                     if not _composite(a, rs) and composition_remainder(a, rs) is not None]
         assert is_gs_basis(rs) == (not witnesses, witnesses)
         monkeypatch.undo()
         assert empty == [], rs
@@ -452,25 +452,25 @@ def test_complete_resource_limit_carries_partial_state():
     assert isinstance(exc.value.partial, RuleSet)
 
 
-PRUNING_RELATIONS = [
+SUPERSEDING_RELATIONS = [
     [(b"\x00\x00\x00", b""), (b"\x00\x00", b"")],  # a a a = 1 before a a = 1
     [(b"\x00\x00\x00", b""), (b"\x00\x00", b"\x01")],  # a a a = 1 before a a = b
 ]
 
 
-@pytest.mark.parametrize("relations", PRUNING_RELATIONS)
-def test_complete_prunes_rule_whose_lhs_contains_new_lhs(relations):
+@pytest.mark.parametrize("relations", SUPERSEDING_RELATIONS)
+def test_complete_keeps_superseded_rule_and_queues_its_inclusion(relations):
     rs = RuleSet([make_rule(u, v) for u, v in relations], 2)
     # drive the raw completion state, which complete's final interreduce
-    # would hide: the first rule is created as given and only pruning in
-    # add_equation takes it out again
-    state = _Completion(rs.alphabet_size, max_rules=100000, max_degree=64)
-    for r in rs.rules:
-        state.add_equation(r.lhs, r.rhs)
-    state.drain()
-    assert state.rules[0] is None
-    assert rs.rules[0] not in state.live.rules
+    # would hide: the first rule stays at index 0 of live, and the first
+    # inclusions queued are those of the second lhs in it, at both offsets
+    pushed, rules, message = completion_pushes(_Completion, rs)
+    assert message is None
+    assert rules[0] == rs.rules[0] and rules[1].lhs == b"\x00\x00"
+    inclusions = [a for a in pushed if len(a.word) == len(rules[a.i].lhs)]
+    assert inclusions[:2] == [Ambiguity(0, 1, rules[0].lhs, p) for p in (0, 1)]
     result = complete(rs)
+    assert rs.rules[0] not in result.rules
     assert is_gs_basis(result)[0]
     reversed_rs = RuleSet(rs.rules[::-1], 2)
     assert result.rules == complete(reversed_rs).rules
@@ -494,7 +494,7 @@ DRAIN_CASES = {
     "F4": F4,
     "I2(7)": I2_7,
     **{f"pruning{k}": RuleSet([make_rule(u, v) for u, v in rels], 2)
-       for k, rels in enumerate(PRUNING_RELATIONS)},
+       for k, rels in enumerate(SUPERSEDING_RELATIONS)},
 }
 
 
@@ -519,7 +519,7 @@ def test_complete_returns_its_certified_reduced_basis(name):
 
 
 class AllPairsCompletion(_Completion):
-    """Completion whose add_equation pairs the new rule with every live rule."""
+    """Completion whose add_equation pairs the new rule with every rule."""
 
     def add_equation(self, u, v):
         u = normal_form(u, self.live)
@@ -527,25 +527,16 @@ class AllPairsCompletion(_Completion):
         if u == v:
             return
         rule = make_rule(u, v)
-        idx = len(self.rules)
+        idx = len(self.live)
         if idx >= self.max_rules:
             raise CompletionLimitError(f"rule limit {self.max_rules} exceeded", self.live)
-        self.rules.append(rule)
-        stale = []
-        for k, r in enumerate(self.rules):
-            if r is not None and k != idx and rule.lhs in r.lhs:
-                self.rules[k] = None
-                stale.append(r)
-        self.live = RuleSet([r for r in self.rules if r is not None], self.live.alphabet_size)
-        for k, r in enumerate(self.rules):
-            if r is not None:
-                for amb in _pair_ambiguities(idx, rule.lhs, k, r.lhs):
+        self.live = RuleSet(self.live.rules + (rule,), self.live.alphabet_size)
+        for k, r in enumerate(self.live.rules):
+            for amb in _pair_ambiguities(idx, rule.lhs, k, r.lhs):
+                self._push(amb)
+            if k != idx:
+                for amb in _pair_ambiguities(k, r.lhs, idx, rule.lhs):
                     self._push(amb)
-                if k != idx:
-                    for amb in _pair_ambiguities(k, r.lhs, idx, rule.lhs):
-                        self._push(amb)
-        for r in stale:
-            self.add_equation(r.lhs, r.rhs)
 
 
 def completion_pushes(state_class, rs, max_degree=64, max_rules=300):
@@ -565,8 +556,8 @@ def completion_pushes(state_class, rs, max_degree=64, max_rules=300):
             state.add_equation(r.lhs, r.rhs)
         state.drain()
     except CompletionLimitError as exc:
-        return pushed, state.rules, str(exc)
-    return pushed, state.rules, None
+        return pushed, state.live.rules, str(exc)
+    return pushed, state.live.rules, None
 
 
 def random_presentation(seed):
@@ -583,9 +574,9 @@ def random_presentation(seed):
 
 
 def assert_pushes_as_with_every_live_rule(rs):
-    # the tables name exactly the live rules the new rule overlaps, so
-    # the same ambiguities are queued in the same order, the same rules
-    # are created and pruned, and the same limit is hit
+    # the tables and the inclusion scan name exactly the rules the new
+    # rule overlaps, so the same ambiguities are queued in the same order,
+    # the same rules are created and the same limit is hit
     expected = completion_pushes(AllPairsCompletion, rs, max_degree=24)
     assert completion_pushes(_Completion, rs, max_degree=24) == expected
     return expected
@@ -598,8 +589,22 @@ def test_completion_pushes_as_with_every_live_rule(name):
 
 def test_completion_pushes_as_with_every_live_rule_on_random_presentations():
     runs = [assert_pushes_as_with_every_live_rule(random_presentation(seed)) for seed in range(40)]
-    assert sum(any(r is None for r in rules) for _, rules, _ in runs) >= 10
+    assert sum(any(len(a.word) == len(rules[a.i].lhs) for a in pushed)
+               for pushed, rules, _ in runs) >= 10
     assert sum(message is not None for _, _, message in runs) >= 2
+
+
+COXETER_CASES = {name: rs for name, rs in DRAIN_CASES.items() if not name.startswith("pruning")}
+COXETER_CASES["affine_a5"] = affine_a(5).to_rules()
+
+
+@pytest.mark.parametrize("name", COXETER_CASES)
+def test_coxeter_completion_pushes_no_inclusion(name):
+    # no new lhs lies inside an older one, so completing a Coxeter
+    # presentation queues only proper overlaps
+    pushed, rules, message = completion_pushes(_Completion, COXETER_CASES[name])
+    assert message is None
+    assert all(len(a.word) > len(rules[a.i].lhs) for a in pushed)
 
 
 def test_degree_limit_names_first_ambiguity_pushed_over_it():
@@ -637,10 +642,10 @@ def is_reduced_by_first_forbidden(w, rs):
     return find_first_forbidden(w, rs) is None
 
 
-def descendants_by_keys(amb, rules, rs):
+def descendants_by_keys(amb, rs):
     """The two one-step rewrites of the ambiguity word, reduced until they
     meet, the greater one picked by comparing deglex_key."""
-    ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
+    ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
     pair = [ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]]
     while pair[0] != pair[1]:
         g = deglex_key(pair[0]) < deglex_key(pair[1])
@@ -652,18 +657,18 @@ def descendants_by_keys(amb, rules, rs):
     return tuple(pair)
 
 
-def descendants_by_normal_forms(amb, rules, rs):
+def descendants_by_normal_forms(amb, rs):
     """The two one-step rewrites of the ambiguity word, each reduced to
     its normal form."""
-    ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
+    ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
     return (normal_form(ri.rhs + w[len(ri.lhs):], rs),
             normal_form(w[:p] + rj.rhs + w[p + len(rj.lhs):], rs))
 
 
 @pytest.mark.parametrize("name", ["affine_a4", "H3", "F4"])
 def test_completion_steps_match_rule_scan_and_full_normal_forms(name, monkeypatch):
-    # the same rules are created in the same order, and the same ones are
-    # pruned, as with the slice-loop ambiguities, the leftmost-start walk
+    # the same rules are created in the same order as with the
+    # slice-loop ambiguities, the leftmost-start walk
     # as the reducibility test and the key-compared descendants, and then
     # also with the rule-by-rule scan and two full normal forms
     rs = DRAIN_CASES[name]
@@ -673,7 +678,7 @@ def test_completion_steps_match_rule_scan_and_full_normal_forms(name, monkeypatc
         for r in rs.rules:
             state.add_equation(r.lhs, r.rhs)
         state.drain()
-        return state.rules, complete(rs).rules
+        return state.live.rules, complete(rs).rules
 
     rules, basis = run()
     monkeypatch.setattr(rewriting, "_pair_ambiguities", pair_ambiguities_by_slices)
@@ -690,7 +695,7 @@ def test_composition_remainder_is_that_of_two_normal_forms():
     for seed in range(10):
         rs = basis_subset(4, 3000 + seed)
         for amb in ambiguities(rs):
-            x, y = descendants_by_normal_forms(amb, rs.rules, rs)
+            x, y = descendants_by_normal_forms(amb, rs)
             expected = None if x == y else make_rule(x, y)
             assert composition_remainder(amb, rs) == expected, (seed, amb)
             nontrivial += expected is not None

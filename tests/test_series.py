@@ -129,9 +129,12 @@ def test_poincare_constant_and_first():
         (lambda: geometric_factor(0, 4), "k >= 1, got 0"),
         (lambda: geometric_factor(-2, 4), "k >= 1, got -2"),
         (lambda: geometric_factor(1, -1), "degree -1 is negative"),
+        (lambda: TruncatedSeries.from_list([1, 2], -2), "degree -2 is negative"),
+        (lambda: series_expand_rational([1], [[1, -1]], -1), "degree -1 is negative"),
     ],
     ids=["poincare degree", "poincare rank", "count_by_length", "count_reduced",
-         "geometric_factor zero", "geometric_factor negative", "geometric_factor degree"],
+         "geometric_factor zero", "geometric_factor negative", "geometric_factor degree",
+         "from_list degree", "series_expand_rational degree"],
 )
 def test_negative_degree_or_rank_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):

@@ -236,6 +236,12 @@ def test_classify_rejects_symbol_outside_alphabet(explicit2):
         classify(bytes([1, 1, 2, 7]), 2, explicit2)
 
 
+def test_classify_rejects_basis_of_other_rank(explicit3):
+    # r3 is reduced under g_families(3) but is not a symbol of rank 2
+    with pytest.raises(RankMismatchError, match="basis over 4 symbols, rank 2 needs 3"):
+        classify(b"\x03", 2, explicit3)
+
+
 def test_classify_empty_word(explicit3):
     c = classify(b"", 3, explicit3)
     assert c.r0free == b""
