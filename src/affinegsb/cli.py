@@ -191,8 +191,11 @@ def cmd_qbinom(args, out):
 
 
 def _parse_tuple(text):
+    """Comma-separated integers; blank text is the empty tuple, an empty field an error."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip() != "")
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse tuple {text!r}") from None
 

@@ -103,12 +103,16 @@ class LeadingWordIndex:
             self.goto.append(row)
 
 
+_INDEX_TAIL = 8  # rules an extended RuleSet may hold past its shared index
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """Deg-lex oriented, duplicate-free rules over symbols 0..alphabet_size-1.
 
-    The rules are kept as a tuple, so the ``index`` built over their
-    leading words on first use always describes them.
+    The rules are kept as a tuple.  The ``index`` over their leading words
+    covers ``rules[:index.low[0]]``: all of them when it is built on first
+    use, a prefix when ``extended`` shares the parent's index.
     """
 
     rules: tuple
@@ -118,14 +122,31 @@ class RuleSet:
         object.__setattr__(self, "rules", tuple(self.rules))
         seen = set()
         for r in self.rules:
-            for w in r:
-                if w and max(w) >= self.alphabet_size:
-                    raise _outside_alphabet(w, self.alphabet_size)
-            if not deglex_greater(r.lhs, r.rhs):
-                raise ValueError(f"rule not deg-lex oriented: {r}")
-            if r in seen:
-                raise ValueError(f"duplicate rule: {r}")
+            self._check(r, seen)
             seen.add(r)
+
+    def _check(self, r, present):
+        """Raise the constructor's error if rule r cannot join the rules in present."""
+        for w in r:
+            if w and max(w) >= self.alphabet_size:
+                raise _outside_alphabet(w, self.alphabet_size)
+        if not deglex_greater(r.lhs, r.rhs):
+            raise ValueError(f"rule not deg-lex oriented: {r}")
+        if r in present:
+            raise ValueError(f"duplicate rule: {r}")
+
+    def extended(self, rule):
+        """This set with rule appended; only rule is checked.  The new set
+        shares this set's built index while at most ``_INDEX_TAIL`` rules
+        lie past the rules it covers, and else builds its own on first use."""
+        self._check(rule, self.rules)
+        # the old rules passed their checks, so __post_init__ is skipped
+        out = object.__new__(RuleSet)
+        out.__dict__.update(rules=self.rules + (rule,), alphabet_size=self.alphabet_size)
+        index = self.__dict__.get("index")
+        if index is not None and len(out.rules) - index.low[0] <= _INDEX_TAIL:
+            out.__dict__["index"] = index
+        return out
 
     def __len__(self):
         return len(self.rules)
@@ -145,14 +166,15 @@ def reduce_once(w, rs):
     The lowest-index applicable rule wins and its leftmost occurrence is
     replaced.  The result is strictly deg-lex-smaller than w.  One pass
     of ``rs.index`` over the whole of w finds the lowest index of a
-    leading word in w (``low`` names, at each letter, the lowest index
-    ending there); ``bytes.replace(lhs, rhs, 1)`` then rewrites that lhs
-    at its first occurrence, the same step as a scan of the rules in
-    order.  Raises RankMismatchError if w has a symbol outside the
-    alphabet of rs.
+    covered leading word in w (``low`` names, at each letter, the lowest
+    index ending there); only if there is none are the rules past the
+    index tested in order with ``lhs in w``.  ``bytes.replace(lhs, rhs,
+    1)`` then rewrites that lhs at its first occurrence, the same step as
+    a scan of the rules in order.  Raises RankMismatchError if w has a
+    symbol outside the alphabet of rs.
     """
     goto, low = rs.index.goto, rs.index.low
-    best, s = len(rs.rules), 0
+    best, s = low[0], 0
     try:
         for c in w:
             s = goto[s][c]
@@ -160,10 +182,13 @@ def reduce_once(w, rs):
                 best = low[s]
     except IndexError:
         raise _outside_alphabet(w, rs.alphabet_size) from None
-    if best == len(rs.rules):
-        return None
-    lhs, rhs = rs.rules[best]
-    return w.replace(lhs, rhs, 1)
+    if best < low[0]:
+        lhs, rhs = rs.rules[best]
+        return w.replace(lhs, rhs, 1)
+    for lhs, rhs in rs.rules[low[0]:]:
+        if lhs in w:
+            return w.replace(lhs, rhs, 1)
+    return None
 
 
 def normal_form(w, rs):
@@ -264,15 +289,17 @@ def _ambiguities_by_pair(rs):
     proper suffix of lhs_i; a table that files every rule under each
     proper prefix of its lhs names those rules.  lhs_j lies inside lhs_i
     (j != i) exactly when it ends at a letter where one pass of
-    ``rs.index`` over lhs_i reports a leading word; only the factors
-    ending at such a letter are looked up.
+    ``rs.index`` over lhs_i reports a leading word, or when it is one of
+    the leading words past the index and ``in`` finds it; only the
+    factors ending at such a letter are looked up.
     """
     rules = rs.rules
     prefixes, by_lhs = {}, {}
     for k, (lhs, _) in enumerate(rules):
         _file(prefixes, k, (lhs[:t] for t in range(1, len(lhs))))
         _file(by_lhs, k, (lhs,))
-    goto, low, none = rs.index.goto, rs.index.low, len(rules)
+    goto, low, none = rs.index.goto, rs.index.low, rs.index.low[0]
+    uncovered = list(enumerate((r.lhs for r in rules[none:]), none))
     for i, (li, _) in enumerate(rules):
         meets, inside, s = set(), set(), 0
         for p in range(1, len(li)):
@@ -282,6 +309,7 @@ def _ambiguities_by_pair(rs):
             if low[s] < none:
                 for p in range(q):
                     inside.update(by_lhs.get(li[p:q], ()))
+        inside.update(j for j, lj in uncovered if lj in li)
         inside.discard(i)
         for j in sorted(meets | inside):
             yield from _pair_ambiguities(i, li, j, rules[j].lhs)
@@ -367,8 +395,9 @@ class _Completion:
     queued ambiguities refer to rules by their index in ``live.rules``.
     It only grows: a rule whose lhs contains a later lhs stays, and the
     inclusion is queued like an overlap.  It is replaced, never mutated,
-    when a rule is added, so no index built over an earlier ``live`` is
-    ever used for the new one.
+    by ``live.extended(rule)`` when a rule is added, so the index over
+    the older rules is rebuilt only once more than ``_INDEX_TAIL`` rules
+    lie past it.
 
     Invariant: the ambiguities of every pair of rules are queued when the
     later of the two is added.  ``drain`` skips an ambiguity that is
@@ -400,8 +429,8 @@ class _Completion:
         idx = len(self.live)
         if idx >= self.max_rules:
             raise CompletionLimitError(f"rule limit {self.max_rules} exceeded", self.live)
-        rules = self.live.rules + (rule,)
-        self.live = RuleSet(rules, self.live.alphabet_size)
+        self.live = self.live.extended(rule)
+        rules = self.live.rules
         lhs = rule.lhs
         _file(self.prefixes, idx, (lhs[:t] for t in range(1, len(lhs))))
         _file(self.suffixes, idx, (lhs[t:] for t in range(1, len(lhs))))

@@ -138,6 +138,8 @@ def _marked(skel, p):
 def _monotone_seqs(n, max_len):
     """All block sequences of total length <= max_len, the empty one included,
     with k strictly rising and l strictly falling, l < n throughout."""
+    if max_len < 0:
+        raise ValueError(f"degree {max_len} is negative")
     blocks = [Block(n, k, l) for k in range(2, n + 2) for l in range(n)]
     # (sequence, length left); the loop visits the pairs it appends
     grown = [((), max_len)]
@@ -235,7 +237,8 @@ class ArrangedWord:
 
 
 def enumerate_arranged(n, max_len):
-    """All arranged words of expanded length <= max_len, no duplicates."""
+    """All arranged words of expanded length <= max_len, no duplicates;
+    ValueError for a negative max_len, from ``_monotone_seqs``."""
     # tail chains: the monotone sequences that start with a tail-type block
     chains = [c for c in _monotone_seqs(n, max_len) if not c or c[0].is_tail_type()]
     out = []
@@ -271,8 +274,11 @@ def r0free_enumerate(n, max_len):
     """All r0-free reduced words of length <= max_len.
 
     Such a word is a product, for i = n down to 1, of an optional
-    ascending run r_i ... r_{j_i} with i <= j_i <= n.
+    ascending run r_i ... r_{j_i} with i <= j_i <= n.  Raises ValueError
+    for a negative max_len.
     """
+    if max_len < 0:
+        raise ValueError(f"degree {max_len} is negative")
     words = [EMPTY]
     for i in range(n, 0, -1):
         nxt = []
@@ -329,7 +335,8 @@ def enumerate_marked(n, max_len):
 
     A marked sequence is a strictly monotone block sequence (k rising, l
     falling, l < n throughout); the component-shaped prefix gives the
-    marks and the rest the tail chain.
+    marks and the rest the tail chain.  Raises ValueError for a negative
+    max_len, from ``_monotone_seqs``.
     """
     out = [MarkedSeq(n, *_split_tail(seq)) for seq in _monotone_seqs(n, max_len)]
     out.sort(key=lambda m: (len(m), m.word()))

@@ -327,9 +327,22 @@ def test_bijection_roundtrip(box):
     assert encoded == box + "\n"
 
 
+@pytest.mark.parametrize("direction, text, expected", [
+    ("decode", "", "\n"),  # the zero partition is the empty sequence
+    ("encode", "", "0,0,0\n"),  # the empty sequence is the zero partition
+])
+def test_bijection_empty_input(direction, text, expected):
+    assert invoke("bijection", direction, "--n", "3", "--input", text) == (0, expected, "")
+
+
 @pytest.mark.parametrize("direction, text, message", [
     ("decode", "a,b", "cannot parse tuple 'a,b'"),
     ("encode", "3,1,x", "cannot parse tuple '3,1,x'"),
+    ("decode", "3,,1", "cannot parse tuple '3,,1'"),
+    ("decode", "3,1,", "cannot parse tuple '3,1,'"),
+    ("decode", ",3", "cannot parse tuple ',3'"),
+    ("encode", "3,,1", "cannot parse tuple '3,,1'"),
+    ("encode", "3,1,0;2,1,", "cannot parse tuple '2,1,'"),
 ])
 def test_bijection_unparsable_tuple(direction, text, message):
     code, out, err = invoke("bijection", direction, "--n", "3", "--input", text)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -39,6 +40,15 @@ INVOLUTION = RuleSet([Rule(b"\x00\x00", b"")], 1)
                  id="ruleset-not-oriented"),
     pytest.param(lambda: RuleSet([*INVOLUTION.rules, *INVOLUTION.rules], 1),
                  "duplicate rule: Rule(lhs=b'\\x00\\x00', rhs=b'')", id="ruleset-duplicate"),
+    pytest.param(lambda: RuleSet([Rule(b"\x01\x01", b"")], 1),
+                 "symbol id 1 outside alphabet of size 1", id="ruleset-outside-alphabet"),
+    pytest.param(lambda: INVOLUTION.extended(Rule(b"", b"\x00")),
+                 "rule not deg-lex oriented: Rule(lhs=b'', rhs=b'\\x00')",
+                 id="extended-not-oriented"),
+    pytest.param(lambda: INVOLUTION.extended(INVOLUTION.rules[0]),
+                 "duplicate rule: Rule(lhs=b'\\x00\\x00', rhs=b'')", id="extended-duplicate"),
+    pytest.param(lambda: INVOLUTION.extended(Rule(b"\x00\x01", b"\x00")),
+                 "symbol id 1 outside alphabet of size 1", id="extended-outside-alphabet"),
 ])
 def test_rule_input_checks_raise_their_message(build, message):
     with pytest.raises(ValueError) as exc:
@@ -255,6 +265,22 @@ def test_index_follows_completion_live_rules():
     new_rule = state.live.rules[-1]
     assert new_rule.lhs == b"\x01\x01"
     assert not is_reduced(new_rule.lhs, state.live)
+
+
+def test_extended_lists_an_uncovered_lhs_inside_an_older_one():
+    base = RuleSet([Rule(b"\x00\x00\x01", b"\x01")], 2)
+    assert is_reduced(b"\x00\x00", base)  # builds the index of base
+    rs = base.extended(Rule(b"\x00\x00", b""))
+    # the shared index covers only the first rule, and no covered word
+    # ends where the new lhs ends inside the first lhs
+    assert rs.index is base.index and rs.index.low[0] == 1
+    inclusions = [a for a in ambiguities(rs) if a.word == rs.rules[0].lhs]
+    assert inclusions == [Ambiguity(0, 1, b"\x00\x00\x01", 0)]
+    assert ambiguities(rs) == ambiguities(RuleSet(rs.rules, 2))
+    assert is_gs_basis(rs) == is_gs_basis(RuleSet(rs.rules, 2))
+    assert reduce_once(b"\x01\x00\x00", rs) == b"\x01"
+    with pytest.raises(RankMismatchError):
+        reduce_once(b"\x00\x00\x02", rs)
 
 
 def pair_ambiguities_by_slices(i, li, j, lj):
@@ -516,6 +542,65 @@ def test_complete_returns_its_certified_reduced_basis(name):
     r = complete(DRAIN_CASES[name])
     assert interreduce(r).rules == r.rules
     assert is_gs_basis(r) == (True, [])
+
+
+class CheckedCompletion(_Completion):
+    """Completion that checks, after every added rule, that live answers
+    as the RuleSet of the same rules built from scratch; ``tails`` holds
+    the number of rules past live's index at each check."""
+
+    tails = ()
+
+    def add_equation(self, u, v):
+        size = len(self.live)
+        super().add_equation(u, v)
+        if len(self.live) == size:
+            return
+        live, fresh = self.live, RuleSet(self.live.rules, self.live.alphabet_size)
+        self.tails += (len(live) - live.index.low[0],)
+        rng = random.Random(len(live))
+        for _ in range(20):
+            w = bytes(rng.randrange(live.alphabet_size) for _ in range(rng.randint(0, 16)))
+            for query in (reduce_once, normal_form, is_reduced, find_first_forbidden):
+                assert query(w, live) == query(w, fresh), (query.__name__, w)
+        assert ambiguities(live) == ambiguities(fresh)
+        assert is_gs_basis(live) == is_gs_basis(fresh)
+
+
+LIVE_CASES = {**DRAIN_CASES, "affine_a5": affine_a(5).to_rules()}
+
+
+@pytest.mark.parametrize("name", LIVE_CASES)
+def test_extended_live_rules_answer_as_a_fresh_rule_set(name):
+    rs = LIVE_CASES[name]
+    state = CheckedCompletion(rs.alphabet_size, max_rules=100000, max_degree=64)
+    for r in rs.rules:
+        state.add_equation(r.lhs, r.rhs)
+    state.drain()
+    assert 1 <= max(state.tails) <= 8
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_completion_rebuilds_its_index_once_per_eight_rules(n, monkeypatch):
+    # the parent's index is shared while at most 8 rules lie past it, so
+    # completing affine A5 and A6 builds 14 and 22 indexes, not 108 and 174
+    builds, created = [], []
+
+    class CountingIndex(rewriting.LeadingWordIndex):
+        def __init__(self, words, alphabet_size):
+            builds.append(len(words))
+            super().__init__(words, alphabet_size)
+
+    extended = RuleSet.extended
+
+    def counting_extended(rs, rule):
+        created.append(rule)
+        return extended(rs, rule)
+
+    monkeypatch.setattr(rewriting, "LeadingWordIndex", CountingIndex)
+    monkeypatch.setattr(RuleSet, "extended", counting_extended)
+    complete(affine_a(n).to_rules())
+    assert len(builds) <= math.ceil(len(created) / 8) + 3
 
 
 class AllPairsCompletion(_Completion):

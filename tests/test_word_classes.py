@@ -130,6 +130,14 @@ def test_marked_positions_boundary_not_marked_when_tail_matches():
     assert aw.marked_positions() == []
 
 
+@pytest.mark.parametrize("enumerate_words", [enumerate_marked, enumerate_arranged, r0free_enumerate])
+@pytest.mark.parametrize("max_len", [-1, -3])
+def test_enumerators_reject_negative_length(enumerate_words, max_len):
+    with pytest.raises(ValueError) as exc:
+        enumerate_words(2, max_len)
+    assert str(exc.value) == f"degree {max_len} is negative"
+
+
 def test_r0free_enumerate_small():
     words = r0free_enumerate(2, 4)
     assert b"" in words
