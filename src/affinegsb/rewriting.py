@@ -151,6 +151,10 @@ class RuleSet:
     def __len__(self):
         return len(self.rules)
 
+    def __getstate__(self):
+        # pickles and copies hold the rules, not the index built from them
+        return {"rules": self.rules, "alphabet_size": self.alphabet_size}
+
     def leading_words(self):
         return {r.lhs for r in self.rules}
 

@@ -116,40 +116,6 @@ def _head(chain):
     return (chain[0].k, chain[0].l) if chain else (float("inf"), -1)
 
 
-def _marked(skel, p):
-    """Positions of the skeleton whose exponent is forced to be >= 1.
-
-    Interior: a component entered by an L_STEP and left by a K_STEP.
-    Boundary: position 1 entered by an L_STEP when the tail head has
-    p > k.
-    """
-    n = len(skel)
-    steps = _steps_of(skel)
-    marked = [
-        n - idx
-        for idx in range(1, len(steps))
-        if steps[idx - 1] == L_STEP and steps[idx] == K_STEP
-    ]
-    if steps and steps[-1] == L_STEP and p > skel[-1].k:
-        marked.append(1)
-    return marked
-
-
-def _monotone_seqs(n, max_len):
-    """All block sequences of total length <= max_len, the empty one included,
-    with k strictly rising and l strictly falling, l < n throughout."""
-    if max_len < 0:
-        raise ValueError(f"degree {max_len} is negative")
-    blocks = [Block(n, k, l) for k in range(2, n + 2) for l in range(n)]
-    # (sequence, length left); the loop visits the pairs it appends
-    grown = [((), max_len)]
-    for seq, room in grown:
-        for b in blocks:
-            if len(b) <= room and _strictly_monotone(seq[-1:] + (b,)):
-                grown.append((seq + (b,), room - len(b)))
-    return [seq for seq, _ in grown]
-
-
 def _split_tail(blocks):
     """(component-shaped prefix, tail chain): the tail starts at the first tail-type block."""
     split = next((i for i, b in enumerate(blocks) if b.is_tail_type()), len(blocks))
@@ -220,8 +186,21 @@ class ArrangedWord:
         return self.exponents[self.n - pos]
 
     def marked_positions(self):
-        """Positions whose exponent is forced to be >= 1."""
-        return _marked(self.skeleton, _head(self.chain)[0])
+        """Positions whose exponent is forced to be >= 1.
+
+        Interior: a component entered by an L_STEP and left by a K_STEP.
+        Boundary: position 1 entered by an L_STEP when the tail head has
+        p > k.
+        """
+        n, steps = self.n, _steps_of(self.skeleton)
+        marked = [
+            n - idx
+            for idx in range(1, len(steps))
+            if steps[idx - 1] == L_STEP and steps[idx] == K_STEP
+        ]
+        if steps and steps[-1] == L_STEP and _head(self.chain)[0] > self.skeleton[-1].k:
+            marked.append(1)
+        return marked
 
     def word(self):
         parts = []
@@ -237,37 +216,26 @@ class ArrangedWord:
 
 
 def enumerate_arranged(n, max_len):
-    """All arranged words of expanded length <= max_len, no duplicates;
-    ValueError for a negative max_len, from ``_monotone_seqs``."""
-    # tail chains: the monotone sequences that start with a tail-type block
-    chains = [c for c in _monotone_seqs(n, max_len) if not c or c[0].is_tail_type()]
+    """All arranged words of expanded length <= max_len, no duplicates.
+
+    Each is the rebuilt word of its marked sequence with free exponents
+    added along the same skeleton.  Raises ValueError for a negative
+    max_len, from ``enumerate_marked``.
+    """
     out = []
-    for skel in skeletons(n):
-        a1 = skel[-1]
-        for chain in chains:
-            p, q = _head(chain)
-            if not (p >= a1.k and q < a1.l):
-                continue
-            budget = max_len - sum(len(b) for b in chain)
-            for expo in _exponent_vectors(skel, _marked(skel, p), budget):
-                out.append(ArrangedWord(n, skel, expo, chain))
+    for ms in enumerate_marked(n, max_len):
+        base = rebuild(ms)
+        # (exponents of the first positions, length left)
+        vectors = [((), max_len - len(ms))]
+        for b, low in zip(base.skeleton, base.exponents):
+            vectors = [
+                (acc + (m,), room - (m - low) * len(b))
+                for acc, room in vectors
+                for m in range(low, low + room // len(b) + 1)
+            ]
+        out += [ArrangedWord(n, base.skeleton, acc, ms.chain) for acc, _ in vectors]
     out.sort(key=lambda a: (len(a), a.word()))
     return out
-
-
-def _exponent_vectors(skel, required, budget):
-    """All exponent tuples with required positions >= 1 and total length <= budget."""
-    n = len(skel)
-    # (exponents of the first idx positions, length left)
-    vectors = [((), budget)]
-    for idx, b in enumerate(skel):
-        low, size = (1 if n - idx in required else 0), len(b)
-        vectors = [
-            (acc + (m,), room - m * size)
-            for acc, room in vectors
-            for m in range(low, room // size + 1)
-        ]
-    return [acc for acc, _ in vectors]
 
 
 def r0free_enumerate(n, max_len):
@@ -336,9 +304,18 @@ def enumerate_marked(n, max_len):
     A marked sequence is a strictly monotone block sequence (k rising, l
     falling, l < n throughout); the component-shaped prefix gives the
     marks and the rest the tail chain.  Raises ValueError for a negative
-    max_len, from ``_monotone_seqs``.
+    max_len.
     """
-    out = [MarkedSeq(n, *_split_tail(seq)) for seq in _monotone_seqs(n, max_len)]
+    if max_len < 0:
+        raise ValueError(f"degree {max_len} is negative")
+    blocks = [Block(n, k, l) for k in range(2, n + 2) for l in range(n)]
+    # (sequence, length left); the loop visits the pairs it appends
+    grown = [((), max_len)]
+    for seq, room in grown:
+        for b in blocks:
+            if len(b) <= room and _strictly_monotone(seq[-1:] + (b,)):
+                grown.append((seq + (b,), room - len(b)))
+    out = [MarkedSeq(n, *_split_tail(seq)) for seq, _ in grown]
     out.sort(key=lambda m: (len(m), m.word()))
     return out
 
@@ -351,16 +328,28 @@ def marked_components(aw):
     return MarkedSeq(aw.n, marks, aw.chain)
 
 
+def _arrange(n, blocks):
+    """The arranged word whose blocks, in order, are the given ones.
+
+    The tail chain starts at the first tail-type block.  Each run of
+    equal components before it is one exponent of the skeleton through
+    the distinct components; every other position gets exponent 0.
+    """
+    comps, chain = _split_tail(blocks)
+    runs = [(b, len(list(run))) for b, run in itertools.groupby(comps)]
+    skel = _skeleton_through(n, [b for b, _ in runs], _head(chain)[0])
+    exponents = dict(runs)
+    expo = tuple(exponents.get(b, 0) for b in skel)
+    return ArrangedWord(n, skel, expo, chain)
+
+
 def rebuild(ms):
     """The unique arranged word with the given marked components and tail.
 
-    Inverse of marked_components: fills the skeleton between marks with
-    the run of K_STEPs followed by L_STEPs dictated by uniqueness, and
-    gives marked positions exponent 1, all others 0.
+    Inverse of marked_components: the skeleton through the marks, with
+    marked positions at exponent 1 and all others at 0.
     """
-    skel = _skeleton_through(ms.n, ms.marks, _head(ms.chain)[0])
-    expo = tuple(1 if b in ms.marks else 0 for b in skel)
-    return ArrangedWord(ms.n, skel, expo, ms.chain)
+    return _arrange(ms.n, ms.marks + ms.chain)
 
 
 def _parse_blocks(w, n):
@@ -406,9 +395,4 @@ def classify(w, n, basis):
     cut = w.find(b"\x00")
     if cut < 0:
         cut = len(w)
-    comps, chain = _split_tail(_parse_blocks(w[cut:], n))
-    runs = [(b, len(list(run))) for b, run in itertools.groupby(comps)]
-    skel = _skeleton_through(n, [b for b, _ in runs], _head(chain)[0])
-    exponents = dict(runs)
-    expo = tuple(exponents.get(b, 0) for b in skel)
-    return Classification(w[:cut], ArrangedWord(n, skel, expo, chain))
+    return Classification(w[:cut], _arrange(n, _parse_blocks(w[cut:], n)))

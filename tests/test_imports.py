@@ -8,21 +8,26 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "affinegsb"
 
 
-def unused_imports(source):
-    """Names a module imports and never reads, in order of import."""
-    tree = ast.parse(source)
+def _imported(tree):
+    """Names the imports under tree bind, in order of import."""
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
+    return imported
+
+
+def unused_imports(source):
+    """Names a module imports and never reads, in order of import."""
+    tree = ast.parse(source)
     read = {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    return [name for name in imported if name not in read]
+    return [name for name in _imported(tree) if name not in read]
 
 
 def test_unused_imports_are_found():
@@ -121,9 +126,8 @@ def test_unread_public_names_are_found():
     assert unread_public_names(sources, readers) == ["rec"]
 
 
-# references kept for tests: rebuild inverts marked_components in the
-# round-trip tests, and the acceptance tests import the other two
-TEST_REFERENCES = ["rebuild", "box_partitions", "bfs_count_oracle"]
+# references kept for tests: the acceptance tests import all three
+TEST_REFERENCES = ["skeletons", "box_partitions", "bfs_count_oracle"]
 
 
 def test_every_public_name_is_read_by_library_or_bench():
@@ -132,6 +136,15 @@ def test_every_public_name_is_read_by_library_or_bench():
     bench = SRC.parent.parent / "bench"
     readers = [path.read_text(encoding="utf-8") for path in sorted(bench.glob("*.py"))]
     assert sorted(unread_public_names(sources, readers)) == sorted(TEST_REFERENCES)
+
+
+def test_every_test_reference_is_imported_by_a_test():
+    # an entry that no test imports any more is stale
+    tests = Path(__file__).resolve().parent
+    imported = set()
+    for path in sorted(tests.glob("*.py")):
+        imported.update(_imported(ast.parse(path.read_text(encoding="utf-8"))))
+    assert [name for name in TEST_REFERENCES if name not in imported] == []
 
 
 def _attribute_loads(node):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -281,6 +283,25 @@ def test_extended_lists_an_uncovered_lhs_inside_an_older_one():
     assert reduce_once(b"\x01\x00\x00", rs) == b"\x01"
     with pytest.raises(RankMismatchError):
         reduce_once(b"\x00\x00\x02", rs)
+
+
+def test_pickles_and_copies_hold_only_the_rules():
+    rs = g_families(6)
+    before = pickle.dumps(rs)
+    assert not is_reduced(rs.rules[0].lhs, rs)  # builds the index of rs
+    assert "index" in rs.__dict__
+    assert pickle.dumps(rs) == before
+    back = pickle.loads(before)
+    assert back == rs
+    rng = random.Random(11)
+    for _ in range(50):
+        w = bytes(rng.randrange(7) for _ in range(30))
+        assert normal_form(w, back) == normal_form(w, rs)
+    assert "index" not in copy.copy(rs).__dict__
+    # an extended set shares its parent's index, and its copies do not
+    grown = rs.extended(Rule(b"\x06" * 9, b"\x06"))
+    assert grown.index is rs.index
+    assert "index" not in copy.copy(grown).__dict__
 
 
 def pair_ambiguities_by_slices(i, li, j, lj):

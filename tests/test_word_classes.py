@@ -6,6 +6,7 @@ import pytest
 
 from affinegsb.affine_basis import g_families
 from affinegsb.rewriting import is_reduced, normal_form
+from affinegsb.series import geometric_factor, series_expand_rational
 from affinegsb.word_classes import (
     ArrangedWord,
     Block,
@@ -385,3 +386,21 @@ def test_enumeration_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_arranged_words_are_marked_sequences_with_free_exponents(n):
+    # by length: arranged = marked * prod_{i=n+1..2n} 1/(1 - x^i), the
+    # skeleton's component lengths being n+1..2n
+    degree = 16
+    marked = [0] * (degree + 1)
+    for ms in enumerate_marked(n, degree):
+        marked[len(ms)] += 1
+    arranged = [0] * (degree + 1)
+    for aw in enumerate_arranged(n, degree):
+        arranged[len(aw)] += 1
+        base = rebuild(marked_components(aw))
+        assert (base.skeleton, base.chain) == (aw.skeleton, aw.chain)
+        assert all(m >= low for m, low in zip(aw.exponents, base.exponents))
+    factors = [geometric_factor(i, degree).coefficients for i in range(n + 1, 2 * n + 1)]
+    assert arranged == list(series_expand_rational(marked, factors, degree).coefficients)
