@@ -196,18 +196,43 @@ def reduce_once(w, rs):
 
 
 def normal_form(w, rs):
-    """Iterate reduce_once to a fixpoint.
+    """The normal form of w, in one left-to-right pass through ``rs.index``.
 
-    Terminates because every step is a strict deg-lex decrease; on a
-    Groebner-Shirshov basis the result is strategy-independent.  Raises
-    RankMismatchError if w has a symbol outside the alphabet of rs, since
-    reduce_once reads all of w.
+    The pass keeps the letters written so far, which hold no leading word,
+    and the index state after each.  Where leading words end at the next
+    letter, the lowest-index rule among them (one past the index only if
+    no covered one ends there) pops its other letters and their states and
+    puts its rhs back in front of the unread input (Aho & Corasick, CACM
+    1975).  Each step is a strict deg-lex decrease, so the pass ends; on a
+    Groebner-Shirshov basis the result is the unique normal form, the one
+    iterated ``reduce_once`` steps reach (Book & Otto, 1993).  A reduced w
+    is returned after one ``reduce_once`` scan, which also raises
+    RankMismatchError if w has a symbol outside the alphabet of rs.
     """
-    while True:
-        nxt = reduce_once(w, rs)
-        if nxt is None:
-            return w
-        w = nxt
+    if reduce_once(w, rs) is None:
+        return w
+    goto, low, rules = rs.index.goto, rs.index.low, rs.rules
+    # low names covered rules only: none means no covered lhs ends at a
+    # letter, and end that no lhs does (the two agree without a tail)
+    none, end = low[0], len(rules)
+    tail = rules[none:]
+    out, states, todo, s = bytearray(), [0], bytearray(w[::-1]), 0
+    while todo:
+        c = todo.pop()
+        s = goto[s][c]
+        out.append(c)
+        k = low[s]
+        if k == none and tail:
+            k = next((j for j, (lhs, _) in enumerate(tail, none) if out.endswith(lhs)), end)
+        if k == end:
+            states.append(s)
+            continue
+        lhs, rhs = rules[k]
+        del out[len(out) - len(lhs):]
+        del states[len(out) + 1:]
+        todo += rhs[::-1]
+        s = states[-1]
+    return bytes(out)
 
 
 def is_reduced(w, rs):
@@ -329,14 +354,14 @@ def _descendants(amb, rs):
     rs at its start and rule amb.j at offset_j, reduced under rs until
     they meet.
 
-    Returns two equal words if their normal forms are equal, and else the
-    two normal forms, in either order.  reduce_once is deterministic, so
-    the normal forms are equal exactly when the two reduction chains meet
-    (Book & Otto, String-Rewriting Systems, 1993).  Each step reduces the
-    deg-lex-greater word, found by ``deglex_greater`` without a sort key;
-    both chains fall strictly, so neither passes a word they share.  If
-    the greater word is irreducible, it is its normal form and the smaller
-    one is reduced to its own.
+    Both chains step with reduce_once (not ``normal_form``, whose pass may
+    end elsewhere on a set that is not confluent), so they meet exactly when
+    their ends are equal (Book & Otto, String-Rewriting Systems, 1993).
+    Returns two equal words if they meet, and else the two ends, in either
+    order.  Each step reduces the deg-lex-greater word, found by
+    ``deglex_greater`` without a sort key; both chains fall strictly, so
+    neither passes a word they share.  Once the greater word is
+    irreducible, the smaller one steps on to the end of its chain.
     """
     ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
     x, y = ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]
@@ -345,7 +370,9 @@ def _descendants(amb, rs):
             x, y = y, x
         nxt = reduce_once(x, rs)
         if nxt is None:
-            return x, normal_form(y, rs)
+            while (nxt := reduce_once(y, rs)) is not None:
+                y = nxt
+            return x, y
         x = nxt
     return x, y
 
@@ -395,8 +422,10 @@ class _Completion:
     """Mutable completion state: an append-only rule table plus an ambiguity queue.
 
     ``live`` is the RuleSet of every rule created, in creation order, so
-    that ``normal_form`` over it applies the lowest-index rule first and
-    queued ambiguities refer to rules by their index in ``live.rules``.
+    that ``reduce_once`` and ``normal_form`` over it prefer the
+    lowest-index rule (at its leftmost occurrence, and among the leading
+    words ending at a letter) and queued ambiguities refer to rules by
+    their index in ``live.rules``.
     It only grows: a rule whose lhs contains a later lhs stays, and the
     inclusion is queued like an overlap.  It is replaced, never mutated,
     by ``live.extended(rule)`` when a rule is added, so the index over

@@ -30,6 +30,7 @@ from affinegsb.rewriting import (
 )
 from affinegsb.series import count_reduced
 from affinegsb.words import RankMismatchError, deglex_key
+from test_group_normal_form import group_normal_form
 
 INVOLUTION = RuleSet([Rule(b"\x00\x00", b"")], 1)
 
@@ -88,6 +89,13 @@ def reduce_once_by_scan(w, rs):
         if p >= 0:
             return w[:p] + rule.rhs + w[p + len(rule.lhs):]
     return None
+
+
+def normal_form_by_steps(w, rs):
+    """reduce_once iterated to a fixpoint: the chain _descendants follows."""
+    while (nxt := reduce_once(w, rs)) is not None:
+        w = nxt
+    return w
 
 
 def basis_subset(n, seed):
@@ -163,6 +171,47 @@ def test_normal_form_involution():
 def test_normal_form_wraparound_braid():
     rs = affine_a(2).to_rules()
     assert normal_form(bytes([0, 2, 0]), rs) == bytes([2, 0, 2])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_normal_form_is_that_of_reduce_once_steps_on_the_explicit_basis(n):
+    # g_families(n) is confluent, so the stack pass and the chain of
+    # lowest-index leftmost steps reach the same word
+    rs = g_families(n)
+    rng = random.Random(500 + n)
+    for _ in range(60):
+        w = bytes(rng.randrange(n + 1) for _ in range(rng.randint(0, 80)))
+        assert normal_form(w, rs) == normal_form_by_steps(w, rs), w
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_normal_form_under_a_basis_subset_is_reduced_and_names_the_element(seed):
+    # basis_subset is not confluent, so the two strategies may part; the
+    # pass still ends on a reduced word of the same group element
+    rs = basis_subset(4, 6000 + seed)
+    rng = random.Random(seed)
+    parted = 0
+    for _ in range(60):
+        w = bytes(rng.randrange(5) for _ in range(rng.randint(0, 60)))
+        nf = normal_form(w, rs)
+        assert is_reduced(nf, rs), w
+        assert group_normal_form(nf, 4) == group_normal_form(w, 4), w
+        parted += nf != normal_form_by_steps(w, rs)
+    assert parted
+
+
+def test_normal_form_tests_uncovered_rules_where_they_end():
+    # the shared index covers only r1 r2 -> r0; r0 r1 -> r2 lies past it
+    # and ends at the second letter of r0 r1 r2, before r1 r2 ends, so it
+    # is the rule applied first, leaving r2 r2 (not confluent: steps of
+    # reduce_once apply r1 r2 first and reach r0 r0)
+    base = RuleSet([Rule(b"\x01\x02", b"\x00")], 3)
+    assert is_reduced(b"", base)  # builds the index of base
+    rs = base.extended(Rule(b"\x00\x01", b"\x02"))
+    assert rs.index is base.index and rs.index.low[0] == 1
+    w = b"\x00\x01\x02"
+    assert normal_form(w, rs) == normal_form(w, RuleSet(rs.rules, 3)) == b"\x02\x02"
+    assert normal_form_by_steps(w, rs) == b"\x00\x00"
 
 
 def all_rewrite_fixpoints(w, rs):
@@ -757,7 +806,7 @@ def descendants_by_keys(amb, rs):
         g = deglex_key(pair[0]) < deglex_key(pair[1])
         nxt = reduce_once(pair[g], rs)
         if nxt is None:
-            pair[not g] = normal_form(pair[not g], rs)
+            pair[not g] = normal_form_by_steps(pair[not g], rs)
             break
         pair[g] = nxt
     return tuple(pair)
@@ -765,10 +814,10 @@ def descendants_by_keys(amb, rs):
 
 def descendants_by_normal_forms(amb, rs):
     """The two one-step rewrites of the ambiguity word, each reduced to
-    its normal form."""
+    its normal form by the step the chains of _descendants take."""
     ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
-    return (normal_form(ri.rhs + w[len(ri.lhs):], rs),
-            normal_form(w[:p] + rj.rhs + w[p + len(rj.lhs):], rs))
+    return (normal_form_by_steps(ri.rhs + w[len(ri.lhs):], rs),
+            normal_form_by_steps(w[:p] + rj.rhs + w[p + len(rj.lhs):], rs))
 
 
 @pytest.mark.parametrize("name", ["affine_a4", "H3", "F4"])
