@@ -198,19 +198,17 @@ def reduce_once(w, rs):
 def normal_form(w, rs):
     """The normal form of w, in one left-to-right pass through ``rs.index``.
 
-    The pass keeps the letters written so far, which hold no leading word,
-    and the index state after each.  Where leading words end at the next
-    letter, the lowest-index rule among them (one past the index only if
-    no covered one ends there) pops its other letters and their states and
-    puts its rhs back in front of the unread input (Aho & Corasick, CACM
-    1975).  Each step is a strict deg-lex decrease, so the pass ends; on a
-    Groebner-Shirshov basis the result is the unique normal form, the one
-    iterated ``reduce_once`` steps reach (Book & Otto, 1993).  A reduced w
-    is returned after one ``reduce_once`` scan, which also raises
-    RankMismatchError if w has a symbol outside the alphabet of rs.
+    The pass keeps the letters written so far and the index state after
+    each.  Where leading words end at the next letter, the lowest-index
+    one (past the index only if no covered one ends there) pops its
+    letters and states and puts its rhs back in front of the unread input
+    (Aho & Corasick, CACM 1975).  Each step is a deg-lex decrease, so the
+    pass ends; on a Groebner-Shirshov basis it ends on the unique normal
+    form (Book & Otto, 1993).  Raises RankMismatchError if w has a symbol
+    outside the alphabet of rs.
     """
-    if reduce_once(w, rs) is None:
-        return w
+    if w and max(w) >= rs.alphabet_size:
+        raise _outside_alphabet(w, rs.alphabet_size)
     goto, low, rules = rs.index.goto, rs.index.low, rs.rules
     # low names covered rules only: none means no covered lhs ends at a
     # letter, and end that no lhs does (the two agree without a tail)
@@ -349,19 +347,25 @@ def ambiguities(rs):
     return sorted(_ambiguities_by_pair(rs), key=_by_word)
 
 
+def _chain_end(w, rs):
+    """w after reduce_once steps until it is reduced."""
+    while (nxt := reduce_once(w, rs)) is not None:
+        w = nxt
+    return w
+
+
 def _descendants(amb, rs):
     """The two one-step rewrites of the ambiguity word, by rule amb.i of
     rs at its start and rule amb.j at offset_j, reduced under rs until
     they meet.
 
-    Both chains step with reduce_once (not ``normal_form``, whose pass may
-    end elsewhere on a set that is not confluent), so they meet exactly when
-    their ends are equal (Book & Otto, String-Rewriting Systems, 1993).
+    Both chains step with reduce_once, so they meet exactly when their
+    ends are equal (Book & Otto, String-Rewriting Systems, 1993).
     Returns two equal words if they meet, and else the two ends, in either
     order.  Each step reduces the deg-lex-greater word, found by
     ``deglex_greater`` without a sort key; both chains fall strictly, so
     neither passes a word they share.  Once the greater word is
-    irreducible, the smaller one steps on to the end of its chain.
+    irreducible, the smaller one is taken to its ``_chain_end``.
     """
     ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
     x, y = ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]
@@ -370,9 +374,7 @@ def _descendants(amb, rs):
             x, y = y, x
         nxt = reduce_once(x, rs)
         if nxt is None:
-            while (nxt := reduce_once(y, rs)) is not None:
-                y = nxt
-            return x, y
+            return x, _chain_end(y, rs)
         x = nxt
     return x, y
 
@@ -422,10 +424,9 @@ class _Completion:
     """Mutable completion state: an append-only rule table plus an ambiguity queue.
 
     ``live`` is the RuleSet of every rule created, in creation order, so
-    that ``reduce_once`` and ``normal_form`` over it prefer the
-    lowest-index rule (at its leftmost occurrence, and among the leading
-    words ending at a letter) and queued ambiguities refer to rules by
-    their index in ``live.rules``.
+    that ``_chain_end`` over it (not ``normal_form``, whose pass may end
+    elsewhere) reduces every word with the lowest-index rule first and
+    queued ambiguities refer to rules by their index in ``live.rules``.
     It only grows: a rule whose lhs contains a later lhs stays, and the
     inclusion is queued like an overlap.  It is replaced, never mutated,
     by ``live.extended(rule)`` when a rule is added, so the index over
@@ -453,8 +454,8 @@ class _Completion:
         self.suffixes = {}
 
     def add_equation(self, u, v):
-        u = normal_form(u, self.live)
-        v = normal_form(v, self.live)
+        u = _chain_end(u, self.live)
+        v = _chain_end(v, self.live)
         if u == v:
             return
         # both sides are normal, so no rule has this lhs already
