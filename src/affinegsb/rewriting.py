@@ -47,23 +47,26 @@ def _outside_alphabet(w, alphabet_size):
 class LeadingWordIndex:
     """Aho-Corasick automaton over a list of nonempty words (leading words).
 
-    States are the distinct prefixes of the words, numbered breadth-first
-    with children in ascending symbol order, i.e. by ascending
-    (length, bytes); state 0 is the empty prefix.  For each state ``s``:
+    States are the distinct prefixes of the words, found breadth-first
+    with children in ascending symbol order, i.e. by ascending (length,
+    bytes); state 0 is the empty prefix.  The k-th matching state found
+    (some word is a suffix of its prefix) gets the id ``~k``, the others
+    0, 1, ... in that order; the tables index ids ``~k`` from the end, so
+    a scan tests ``s < 0`` before it reads ``low``.  For each state s:
 
     - ``goto[s][c]`` is the state of the longest suffix of prefix(s) + c
       that is again a prefix of some word (the trie edge if there is one,
       else the failure link's transition), so the table is complete;
     - ``low[s]`` is the lowest index k of a word that is a suffix of
       prefix(s), or the number of words if there is none (for a RuleSet's
-      index, word k is the lhs of rule k).
+      index, word k is the lhs of rule k); ``low[0]`` is the word count.
 
     After reading any text from state 0 the current state is the longest
     suffix of the text that is a prefix of some word, and ``low`` of that
     state is the lowest index of a word ending at the last letter.
     Building costs O(total length of the words + states * alphabet_size);
     failure links are found breadth-first, so a state's link is always
-    numbered before it.
+    found before it.
     """
 
     def __init__(self, words, alphabet_size):
@@ -87,20 +90,24 @@ class LeadingWordIndex:
                     ends.append(none)
                 v = nxt
             ends[v] = min(ends[v], k)
-        # order[s] is the trie node of state s; a child is numbered when its
-        # parent is expanded and takes its failure link from the parent's
-        order, fail = [0], [0]
-        self.low = [none]
-        self.goto = []
-        for s, v in enumerate(order):
-            back = self.goto[fail[s]] if s else [0] * alphabet_size
+        # order lists (trie node, id, failure link) of the states found; a
+        # child is found when its parent is expanded and takes its failure
+        # link from the parent's
+        self.goto = goto = [None] * len(trie)
+        self.low = low = [none] * len(trie)
+        order, plain, matching = [(0, 0, 0)], 1, 0
+        for v, s, f in order:
+            back = goto[f] if s else [0] * alphabet_size
             row = list(back)
             for c, child in sorted(trie[v].items()):
-                row[c] = len(order)
-                order.append(child)
-                fail.append(back[c])
-                self.low.append(min(ends[child], self.low[back[c]]))
-            self.goto.append(row)
+                k = min(ends[child], low[back[c]])
+                if k < none:
+                    t, matching = ~matching, matching + 1
+                else:
+                    t, plain = plain, plain + 1
+                row[c], low[t] = t, k
+                order.append((child, t, back[c]))
+            goto[s] = row
 
 
 _INDEX_TAIL = 8  # rules an extended RuleSet may hold past its shared index
@@ -182,7 +189,7 @@ def reduce_once(w, rs):
     try:
         for c in w:
             s = goto[s][c]
-            if low[s] < best:
+            if s < 0 and low[s] < best:
                 best = low[s]
     except IndexError:
         raise _outside_alphabet(w, rs.alphabet_size) from None
@@ -210,8 +217,8 @@ def normal_form(w, rs):
     if w and max(w) >= rs.alphabet_size:
         raise _outside_alphabet(w, rs.alphabet_size)
     goto, low, rules = rs.index.goto, rs.index.low, rs.rules
-    # low names covered rules only: none means no covered lhs ends at a
-    # letter, and end that no lhs does (the two agree without a tail)
+    # a covered lhs ends at a letter exactly when the state is negative;
+    # only where none does are the rules past the index tested
     none, end = low[0], len(rules)
     tail = rules[none:]
     out, states, todo, s = bytearray(), [0], bytearray(w[::-1]), 0
@@ -219,10 +226,10 @@ def normal_form(w, rs):
         c = todo.pop()
         s = goto[s][c]
         out.append(c)
-        k = low[s]
-        if k == none and tail:
-            k = next((j for j, (lhs, _) in enumerate(tail, none) if out.endswith(lhs)), end)
-        if k == end:
+        if s < 0:
+            k = low[s]
+        elif not tail or (k := next((j for j, (lhs, _) in enumerate(tail, none)
+                                     if out.endswith(lhs)), end)) == end:
             states.append(s)
             continue
         lhs, rhs = rules[k]
@@ -325,7 +332,7 @@ def _ambiguities_by_pair(rs):
     for k, (lhs, _) in enumerate(rules):
         _file(prefixes, k, (lhs[:t] for t in range(1, len(lhs))))
         _file(by_lhs, k, (lhs,))
-    goto, low, none = rs.index.goto, rs.index.low, rs.index.low[0]
+    goto, none = rs.index.goto, rs.index.low[0]
     uncovered = list(enumerate((r.lhs for r in rules[none:]), none))
     for i, (li, _) in enumerate(rules):
         meets, inside, s = set(), set(), 0
@@ -333,7 +340,7 @@ def _ambiguities_by_pair(rs):
             meets.update(prefixes.get(li[p:], ()))
         for q, c in enumerate(li, 1):
             s = goto[s][c]
-            if low[s] < none:
+            if s < 0:
                 for p in range(q):
                     inside.update(by_lhs.get(li[p:q], ()))
         inside.update(j for j, lj in uncovered if lj in li)
@@ -347,36 +354,58 @@ def ambiguities(rs):
     return sorted(_ambiguities_by_pair(rs), key=_by_word)
 
 
+def _meet(x, y, rs):
+    """Step x and y by reduce_once's steps until they meet: two equal
+    words, or else the end reached first and the other end.
+
+    Each step rewrites the deg-lex-greater word; both chains fall
+    strictly, so neither passes a word they share, and they meet exactly
+    when their ends are equal (Book & Otto, String-Rewriting Systems,
+    1993).  Once the greater word is reduced, the other steps to its end.
+    The index scan and the deg-lex comparison are inlined: a step makes
+    no function call.
+    """
+    rules, goto, low = rs.rules, rs.index.goto, rs.index.low
+    none, tail = low[0], rules[low[0]:]
+    end = None  # the end reached first; then only the other word steps
+    while True:
+        if end is None:
+            if x == y:
+                return x, y
+            if len(y) > len(x) or (len(y) == len(x) and y < x):
+                x, y = y, x
+        best, s = none, 0
+        for c in x:
+            s = goto[s][c]
+            if s < 0 and low[s] < best:
+                best = low[s]
+        if best < none:
+            lhs, rhs = rules[best]
+        else:
+            for lhs, rhs in tail:
+                if lhs in x:
+                    break
+            else:
+                if end is not None:
+                    return end, x
+                end, x = x, y
+                continue
+        x = x.replace(lhs, rhs, 1)
+
+
 def _chain_end(w, rs):
     """w after reduce_once steps until it is reduced."""
-    while (nxt := reduce_once(w, rs)) is not None:
-        w = nxt
-    return w
+    # the empty word is reduced and deg-lex least, so only w is stepped
+    return _meet(w, b"", rs)[0]
 
 
 def _descendants(amb, rs):
     """The two one-step rewrites of the ambiguity word, by rule amb.i of
-    rs at its start and rule amb.j at offset_j, reduced under rs until
-    they meet.
-
-    Both chains step with reduce_once, so they meet exactly when their
-    ends are equal (Book & Otto, String-Rewriting Systems, 1993).
-    Returns two equal words if they meet, and else the two ends, in either
-    order.  Each step reduces the deg-lex-greater word, found by
-    ``deglex_greater`` without a sort key; both chains fall strictly, so
-    neither passes a word they share.  Once the greater word is
-    irreducible, the smaller one is taken to its ``_chain_end``.
+    rs at its start and rule amb.j at offset_j, stepped by ``_meet``:
+    two equal words if they meet, and else the two ends, in either order.
     """
     ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
-    x, y = ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]
-    while x != y:
-        if deglex_greater(y, x):
-            x, y = y, x
-        nxt = reduce_once(x, rs)
-        if nxt is None:
-            return x, _chain_end(y, rs)
-        x = nxt
-    return x, y
+    return _meet(ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):], rs)
 
 
 def composition_remainder(amb, rs):
@@ -424,9 +453,10 @@ class _Completion:
     """Mutable completion state: an append-only rule table plus an ambiguity queue.
 
     ``live`` is the RuleSet of every rule created, in creation order, so
-    that ``_chain_end`` over it (not ``normal_form``, whose pass may end
-    elsewhere) reduces every word with the lowest-index rule first and
-    queued ambiguities refer to rules by their index in ``live.rules``.
+    that ``_chain_end`` and ``_descendants`` over it (both ``_meet``'s
+    reduce_once steps, not ``normal_form``, whose pass may end elsewhere)
+    reduce every word with the lowest-index rule first and queued
+    ambiguities refer to rules by their index in ``live.rules``.
     It only grows: a rule whose lhs contains a later lhs stays, and the
     inclusion is queued like an overlap.  It is replaced, never mutated,
     by ``live.extended(rule)`` when a rule is added, so the index over

@@ -117,7 +117,7 @@ class FactorAutomaton:
     reachable from the empty prefix without a match, numbered
     breadth-first, i.e. by ascending (length, bytes) of their prefixes;
     every transition into a match goes to the absorbing ``dead`` state.
-    A prefix matches when its ``low`` is below the root's (the word count).
+    A prefix matches when its id is negative.
     Cost: O(total length of the forbidden words + states * alphabet_size).
     Raises ValueError for an empty forbidden word and RankMismatchError
     for a symbol outside the alphabet.
@@ -126,12 +126,11 @@ class FactorAutomaton:
     def __init__(self, forbidden, alphabet_size):
         index = LeadingWordIndex(forbidden, alphabet_size)
         self.alphabet_size = alphabet_size
-        low, none = index.low, index.low[0]
         number = [0] + [-1] * (len(index.goto) - 1)
         live = [0]
         for s in live:
             for t in index.goto[s]:
-                if number[t] < 0 and low[t] == none:
+                if t >= 0 and number[t] < 0:
                     number[t] = len(live)
                     live.append(t)
         self.start, self.dead = 0, len(live)

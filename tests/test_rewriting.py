@@ -12,6 +12,7 @@ from affinegsb.presentations import CoxeterMatrix, affine_a, finite_a, from_coxe
 from affinegsb.rewriting import (
     Ambiguity,
     CompletionLimitError,
+    LeadingWordIndex,
     Rule,
     RuleSet,
     ambiguities,
@@ -24,12 +25,14 @@ from affinegsb.rewriting import (
     make_rule,
     normal_form,
     reduce_once,
+    _chain_end,
     _Completion,
     _composite,
+    _descendants,
     _pair_ambiguities,
 )
 from affinegsb.series import count_reduced
-from affinegsb.words import RankMismatchError, deglex_key
+from affinegsb.words import RankMismatchError, deglex_greater, deglex_key
 from test_group_normal_form import group_normal_form
 
 INVOLUTION = RuleSet([Rule(b"\x00\x00", b"")], 1)
@@ -354,6 +357,50 @@ def test_pickles_and_copies_hold_only_the_rules():
     grown = rs.extended(Rule(b"\x06" * 9, b"\x06"))
     assert grown.index is rs.index
     assert "index" not in copy.copy(grown).__dict__
+
+
+def index_words(rng):
+    """Seeded nonempty words over 2 or 3 letters, with a repeated word, a
+    word nested in another and a one-letter word among them."""
+    size = rng.choice((2, 3))
+    words = [bytes(rng.randrange(size) for _ in range(rng.randint(1, 5)))
+             for _ in range(rng.randint(1, 6))]
+    w = rng.choice(words)
+    a = rng.randrange(len(w))
+    words += [w[a:rng.randint(a + 1, len(w))], rng.choice(words), bytes([rng.randrange(size)])]
+    rng.shuffle(words)
+    return words, size
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_index_layout_matches_brute_force(seed):
+    # matching states have the negative ids ~0, ~1, ... and the others
+    # 0, 1, ..., each in breadth-first order; low names the lowest index
+    # of a word that ends after any text
+    words, size = index_words(random.Random(seed))
+    index = LeadingWordIndex(words, size)
+    prefixes = sorted({w[:t] for w in words for t in range(len(w) + 1)}, key=lambda p: (len(p), p))
+    assert len(index.goto) == len(index.low) == len(prefixes)
+
+    def read(text):
+        s = 0
+        for c in text:
+            s = index.goto[s][c]
+        return s
+
+    ids = {p: read(p) for p in prefixes}
+    matching = [p for p in prefixes if any(p.endswith(w) for w in words)]
+    assert [~ids[p] for p in matching] == list(range(len(matching)))
+    plain = [p for p in prefixes if p not in matching]
+    assert [ids[p] for p in plain] == list(range(len(plain)))
+    for length in range(7):
+        for text in map(bytes, itertools.product(range(size), repeat=length)):
+            s = read(text)
+            ends = [k for k, w in enumerate(words) if text.endswith(w)]
+            assert (s < 0) == bool(ends), text
+            assert index.low[s] == min(ends, default=len(words)), text
+            longest = max((p for p in prefixes if text.endswith(p)), key=len)
+            assert s == ids[longest], text
 
 
 def pair_ambiguities_by_slices(i, li, j, lj):
@@ -875,6 +922,91 @@ def test_composition_remainder_is_that_of_two_normal_forms():
             assert composition_remainder(amb, rs) == expected, (seed, amb)
             nontrivial += expected is not None
     assert nontrivial
+
+
+def descendants_by_steps(amb, rs):
+    """The descendants as reduce_once and deglex_greater calls, in the
+    library's order: the greater word steps until the two meet or it is
+    reduced, and then the other one steps to its end."""
+    ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
+    x, y = ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]
+    while x != y:
+        if deglex_greater(y, x):
+            x, y = y, x
+        nxt = reduce_once(x, rs)
+        if nxt is None:
+            return x, normal_form_by_steps(y, rs)
+        x = nxt
+    return x, y
+
+
+def steps_past_index(amb, rs):
+    """Steps of amb's two full chains that take a rule past rs's index."""
+    covered = [r.lhs for r in rs.rules[:rs.index.low[0]]]
+    ri, rj, w, p = rs.rules[amb.i], rs.rules[amb.j], amb.word, amb.offset_j
+    count = 0
+    for x in (ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]):
+        while (nxt := reduce_once(x, rs)) is not None:
+            count += not any(lhs in x for lhs in covered)
+            x = nxt
+    return count
+
+
+def assert_descendants_take_the_steps(rs):
+    """_descendants and _chain_end over rs against the step-by-step
+    reference; returns the steps past rs's index."""
+    past = 0
+    for amb in ambiguities(rs):
+        assert _descendants(amb, rs) == descendants_by_steps(amb, rs), amb
+        assert _chain_end(amb.word, rs) == normal_form_by_steps(amb.word, rs), amb
+        past += steps_past_index(amb, rs)
+    return past
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_descendants_take_reduce_once_steps_over_the_explicit_basis(n):
+    assert_descendants_take_the_steps(g_families(n))
+
+
+class SnapshotCompletion(_Completion):
+    """Completion that keeps every live rule set it makes, each with the
+    index it shares or builds."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.snapshots = []
+
+    def add_equation(self, u, v):
+        super().add_equation(u, v)
+        if not self.snapshots or self.snapshots[-1] is not self.live:
+            self.snapshots.append(self.live)
+
+
+def live_snapshots(rs, every):
+    """Every every-th live rule set made while completing rs, up to a limit."""
+    state = SnapshotCompletion(rs.alphabet_size, max_rules=300, max_degree=24)
+    try:
+        for r in rs.rules:
+            state.add_equation(r.lhs, r.rhs)
+        state.drain()
+    except CompletionLimitError:
+        pass
+    return state.snapshots[::every]
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(lambda: live_snapshots(affine_a(3).to_rules(), 1), id="affine_a3"),
+    pytest.param(lambda: live_snapshots(affine_a(4).to_rules(), 3), id="affine_a4"),
+    pytest.param(lambda: [live for seed in range(40)
+                          for live in live_snapshots(random_presentation(seed), 2)],
+                 id="random"),
+])
+def test_descendants_take_reduce_once_steps_in_the_middle_of_completion(cases):
+    # live sets share an index with up to 8 rules past it, so some steps
+    # find their rule by the test of the rules past the index
+    snapshots = cases()
+    assert any(len(live) > live.index.low[0] for live in snapshots)
+    assert sum(map(assert_descendants_take_the_steps, snapshots)) > 0
 
 
 def exhaustively_confluent(rs):
