@@ -37,14 +37,13 @@ from .words import deglex_key
 
 
 def _load_presentation(args):
-    if args.file:
+    if args.file is not None:
         with open(args.file, encoding="utf-8") as fh:
             return presentations.parse(fh.read())
     if args.builtin == "affine-a":
         return affine_a(args.n)
     if args.builtin == "finite-a":
         return finite_a(args.n)
-    raise ValueError("one of --builtin or --file is required")
 
 
 def _basis(args, p):
@@ -76,7 +75,7 @@ def _add_limit_flags(sub):
 
 
 def _add_source_flags(sub):
-    group = sub.add_mutually_exclusive_group()
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=["affine-a", "finite-a"])
     group.add_argument("--file")
     sub.add_argument("--n", type=_nonneg_int, default=2, help="rank for built-ins")

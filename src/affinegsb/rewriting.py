@@ -9,6 +9,10 @@ trivial, which makes rewriting confluent and normal forms unique.
 from __future__ import annotations
 
 import heapq
+import os
+import signal
+import threading
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -432,6 +436,15 @@ def _composite(amb, rs):
     return len(amb.word) > len(rs.rules[amb.i].lhs) and not is_reduced(amb.word[1:-1], rs)
 
 
+_SHARE = 512  # per process: a fork and reap take about 2.5 ms, a composition 18-46 us
+
+
+def _failing(ambs, rs, r, p):
+    """Positions r, r + p, ... in ambs of the prime ambiguities whose composition fails."""
+    return [k for k in range(r, len(ambs), p)
+            if not _composite(ambs[k], rs) and composition_remainder(ambs[k], rs) is not None]
+
+
 def is_gs_basis(rs):
     """Check confluence by composing every ambiguity that is not composite.
 
@@ -440,12 +453,50 @@ def is_gs_basis(rs):
     if every ambiguity were composed: by induction on the length of the
     word, a composite one is trivial modulo its word once all shorter ones
     are, and a confluent basis makes every composition trivial.
-    Ambiguities are composed in the order they are found; only the
-    witnesses are sorted.
+    Share r of p (positions r, r + p, ...) is composed by the caller if
+    r = 0, else by a forked child that pipes back its witnesses' positions.
+    p is the usable CPUs, at most one per ``_SHARE`` ambiguities, or 1
+    without ``os.sched_getaffinity`` or with a second thread.  Sorted, the
+    witnesses do not depend on p.  A failed child raises RuntimeError.
     """
-    witnesses = [a for a in _ambiguities_by_pair(rs)
-                 if not _composite(a, rs) and composition_remainder(a, rs) is not None]
-    witnesses.sort(key=_by_word)
+    ambs = list(_ambiguities_by_pair(rs))  # builds rs.index before any fork
+    can_fork = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    p = max(1, min(len(os.sched_getaffinity(0)) if can_fork else 1, len(ambs) // _SHARE))
+    children, mine = [], [0]  # (pid, read end) of each child; the shares composed here
+    try:
+        for r in range(1, p):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                mine += range(r, p)
+                break
+            if pid == 0:  # never return, flush inherited stdio or run atexit handlers
+                code = 1
+                try:
+                    with open(wfd, "wb") as out:
+                        out.write(array("I", _failing(ambs, rs, r, p)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, open(rfd, "rb")))
+            os.close(wfd)
+        positions = [k for r in mine for k in _failing(ambs, rs, r, p)]
+        payloads = [pipe.read() for _, pipe in children]  # to EOF, then reap
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:  # no child outlives the call
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    if any(statuses) or any(len(data) % 4 for data in payloads):
+        raise RuntimeError(f"a composing child failed; wait statuses {statuses}")
+    positions += array("I", b"".join(payloads))
+    witnesses = sorted((ambs[k] for k in positions), key=_by_word)
     return (not witnesses, witnesses)
 
 

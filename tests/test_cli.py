@@ -71,13 +71,27 @@ def test_complete_repeated_relation_is_one_line_error(tmp_path):
 
 
 def test_complete_missing_source():
+    # a usage error, rejected by the parser like every other bad argument
     code, out, err = invoke("complete")
-    assert code == 1
+    assert code == 2
     assert "required" in err
+
+
+@pytest.mark.parametrize("command", ["reduce --word r1", "growth"])
+def test_missing_source_is_a_usage_error(command):
+    code, out, err = invoke(*command.split())
+    assert code == 2 and out == ""
+    assert "one of the arguments --builtin --file is required" in err
 
 
 def test_complete_bad_file():
     code, _, err = invoke("complete", "--file", "/nonexistent/path.txt")
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_empty_file_name_is_an_unreadable_file():
+    code, _, err = invoke("growth", "--file", "")
     assert code == 1
     assert err.startswith("error:")
 

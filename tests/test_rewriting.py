@@ -1,8 +1,10 @@
 import copy
 import itertools
 import math
+import os
 import pickle
 import random
+import threading
 
 import pytest
 
@@ -628,6 +630,7 @@ def coxeter_rules(entries):
 
 # finite types whose completed bases have composite ambiguities
 H3 = coxeter_rules(((1, 5, 2), (5, 1, 3), (2, 3, 1)))
+H4 = coxeter_rules(((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)))
 F4 = coxeter_rules(((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)))
 I2_7 = coxeter_rules(((1, 7), (7, 1)))
 
@@ -1098,6 +1101,169 @@ def test_is_gs_basis_accepts_explicit(explicit3):
 def test_is_gs_basis_accepts_involution():
     ok, _ = is_gs_basis(INVOLUTION)
     assert ok
+
+
+def serial_gs_basis(rs):
+    """is_gs_basis composed in one process: the reference for its shares."""
+    witnesses = [a for a in rewriting._ambiguities_by_pair(rs)
+                 if not _composite(a, rs) and rewriting.composition_remainder(a, rs) is not None]
+    witnesses.sort(key=rewriting._by_word)
+    return (not witnesses, witnesses)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs is_gs_basis may use; returns the pids os.fork returned."""
+    forks = []
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    real_fork = getattr(os, "fork", None)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+
+    def use(count):
+        forks.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        return forks
+    return use
+
+
+forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@forking
+@pytest.mark.parametrize("name", ["g_families(5)", "H4"])
+def test_is_gs_basis_in_two_processes_matches_serial(name, cpus):
+    rs = g_families(5) if name == "g_families(5)" else complete(H4, max_degree=160)
+    forks = cpus(2)
+    assert len(ambiguities(rs)) >= 2 * rewriting._SHARE
+    assert is_gs_basis(rs) == serial_gs_basis(rs) == (True, [])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("n,count", [(5, 721), (6, 2337)])
+def test_is_gs_basis_shares_find_the_serial_witnesses_on_subsets(n, count, cpus):
+    rules = g_families(n).rules
+    rng = random.Random(7000 + n)
+    rs = RuleSet([r for r in rules if rng.random() < 0.7], n + 1)
+    forks = cpus(2)
+    ok, witnesses = is_gs_basis(rs)
+    assert (ok, witnesses) == serial_gs_basis(rs)
+    assert len(witnesses) == count and len(forks) == 1
+    assert_no_child_left()
+
+
+@forking
+def test_is_gs_basis_forks_a_child_per_further_cpu(cpus):
+    rs = basis_subset(6, 6006)
+    forks = cpus(4)
+    assert len(ambiguities(rs)) >= 4 * rewriting._SHARE
+    assert is_gs_basis(rs) == serial_gs_basis(rs)
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+@forking
+def test_is_gs_basis_reads_a_payload_larger_than_a_pipe_buffer(cpus, monkeypatch):
+    # every prime ambiguity of g_families(9) fails, so the child sends
+    # back every odd position of one: 4 bytes each, well over 64 KiB
+    rs = g_families(9)
+    monkeypatch.setattr(rewriting, "composition_remainder", lambda amb, rs: Rule(b"\1", b""))
+    ambs = list(rewriting._ambiguities_by_pair(rs))
+    assert len(ambs) == 38_919
+    assert 4 * sum(k % 2 and not _composite(a, rs) for k, a in enumerate(ambs)) > 65536
+    cpus(2)
+    assert is_gs_basis(rs) == serial_gs_basis(rs)
+    assert_no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_is_gs_basis_reaps_its_children_when_a_share_raises(error, cpus, monkeypatch):
+    rs = g_families(5)
+    parent = os.getpid()
+
+    def composition_remainder(amb, rs):
+        raise error("in the child" if os.getpid() != parent else "in the parent")
+
+    monkeypatch.setattr(rewriting, "composition_remainder", composition_remainder)
+    forks = cpus(2)
+    # a child's exception never leaves the child
+    with pytest.raises(error, match="in the parent"):
+        is_gs_basis(rs)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@forking
+def test_is_gs_basis_raises_when_a_child_fails(cpus, monkeypatch):
+    rs = g_families(5)
+    parent = os.getpid()
+
+    def composition_remainder(amb, rs):
+        if os.getpid() != parent:
+            raise ValueError("in the child")
+        return None
+
+    monkeypatch.setattr(rewriting, "composition_remainder", composition_remainder)
+    cpus(2)
+    with pytest.raises(RuntimeError, match="child failed"):
+        is_gs_basis(rs)
+    assert_no_child_left()
+
+
+@forking
+def test_is_gs_basis_composes_unforked_shares_itself(cpus, monkeypatch):
+    rs = basis_subset(6, 6006)
+    forks = cpus(4)
+    real_fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise OSError("fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert is_gs_basis(rs) == serial_gs_basis(rs)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def refuse_fork():
+    raise AssertionError("forked")
+
+
+def test_is_gs_basis_forks_nothing_with_one_cpu(cpus, monkeypatch):
+    rs = g_families(5)
+    cpus(1)
+    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
+    assert is_gs_basis(rs) == serial_gs_basis(rs) == (True, [])
+
+
+def test_is_gs_basis_forks_nothing_beside_a_second_thread(cpus, monkeypatch):
+    rs = basis_subset(5, 5005)
+    cpus(2)
+    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert is_gs_basis(rs) == serial_gs_basis(rs)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def random_defining_word(rng, n, max_len):
