@@ -397,12 +397,6 @@ def _meet(x, y, rs):
         x = x.replace(lhs, rhs, 1)
 
 
-def _chain_end(w, rs):
-    """w after reduce_once steps until it is reduced."""
-    # the empty word is reduced and deg-lex least, so only w is stepped
-    return _meet(w, b"", rs)[0]
-
-
 def _descendants(amb, rs):
     """The two one-step rewrites of the ambiguity word, by rule amb.i of
     rs at its start and rule amb.j at offset_j, stepped by ``_meet``:
@@ -504,9 +498,9 @@ class _Completion:
     """Mutable completion state: an append-only rule table plus an ambiguity queue.
 
     ``live`` is the RuleSet of every rule created, in creation order, so
-    that ``_chain_end`` and ``_descendants`` over it (both ``_meet``'s
-    reduce_once steps, not ``normal_form``, whose pass may end elsewhere)
-    reduce every word with the lowest-index rule first and queued
+    that ``_meet`` over it (reduce_once steps, not ``normal_form``, whose
+    pass may end elsewhere) reduces the two sides of a new equation and
+    of a composition with the lowest-index rule first, and queued
     ambiguities refer to rules by their index in ``live.rules``.
     It only grows: a rule whose lhs contains a later lhs stays, and the
     inclusion is queued like an overlap.  It is replaced, never mutated,
@@ -535,8 +529,7 @@ class _Completion:
         self.suffixes = {}
 
     def add_equation(self, u, v):
-        u = _chain_end(u, self.live)
-        v = _chain_end(v, self.live)
+        u, v = _meet(u, v, self.live)
         if u == v:
             return
         # both sides are normal, so no rule has this lhs already

@@ -1,16 +1,7 @@
 """The deg-lex normal form computed from the group, as an oracle for the
 explicit basis (result 1) and the classification (result 2) at ranks
-that enumeration does not reach.
-
-An element of the rank-n affine group is its window [x(1), ..., x(n+1)],
-with x(i + n + 1) = x(i) + n + 1.  Right multiplication by s_i swaps the
-entries at i and i + 1 (s_0 those at 0 and 1), and s_i is a right
-descent exactly when that swap lowers the length: x(i) > x(i + 1).
-``deglex_key`` ranks r0 > r1 > ... > rn, so the normal form is the
-reduced word that is lex-least in that order: it starts with the
-highest-index left descent, r0 last.  The left descents of an element
-are the right descents of its inverse.  This model shares no code with
-the library.
+that enumeration does not reach.  The window model of the group lives in
+``reference``, which shares no code with the library.
 """
 
 import random
@@ -20,39 +11,7 @@ import pytest
 from affinegsb.affine_basis import g_families
 from affinegsb.rewriting import is_reduced, normal_form
 from affinegsb.word_classes import classify, marked_components, rebuild
-
-
-def times(window, a):
-    """The window of x s_a, given the window of x."""
-    x = list(window)
-    size = len(x)
-    if a == 0:
-        x[0], x[-1] = x[-1] - size, x[0] + size
-    else:
-        x[a - 1], x[a] = x[a], x[a - 1]
-    return tuple(x)
-
-
-def right_descents(window):
-    """The right descents of x, highest index first and s_0 last."""
-    size = len(window)
-    out = [i for i in range(size - 1, 0, -1) if window[i - 1] > window[i]]
-    if window[-1] - size > window[0]:
-        out.append(0)
-    return out
-
-
-def group_normal_form(word, n):
-    """The deg-lex normal form of the element a reduced or unreduced word
-    names, read off the window of its inverse."""
-    inverse = tuple(range(1, n + 2))
-    for a in reversed(word):
-        inverse = times(inverse, a)
-    out = []
-    while descents := right_descents(inverse):
-        out.append(descents[0])
-        inverse = times(inverse, descents[0])
-    return bytes(out)
+from reference import group_normal_form, right_descents, times
 
 
 def length_increasing_walk(n, length, rng):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "affinegsb"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "affinegsb"
 
 
 def _imported(tree):
@@ -140,9 +141,8 @@ def test_every_public_name_is_read_by_library_or_bench():
 
 def test_every_test_reference_is_imported_by_a_test():
     # an entry that no test imports any more is stale
-    tests = Path(__file__).resolve().parent
     imported = set()
-    for path in sorted(tests.glob("*.py")):
+    for path in sorted(TESTS.glob("*.py")):
         imported.update(_imported(ast.parse(path.read_text(encoding="utf-8"))))
     assert [name for name in TEST_REFERENCES if name not in imported] == []
 
@@ -196,8 +196,7 @@ def test_unread_attributes_are_found():
 
 def test_library_reads_every_attribute_it_stores():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
-    tests = Path(__file__).resolve().parent
-    readers = [path.read_text(encoding="utf-8") for path in sorted(tests.glob("*.py"))]
+    readers = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
     assert unread_attributes(sources, readers) == []
 
 
@@ -227,3 +226,17 @@ def test_absolute_imports_are_found():
 def test_library_imports_only_the_standard_library(path):
     names = absolute_imports(path.read_text(encoding="utf-8"))
     assert [m for m in names if m not in sys.stdlib_module_names] == []
+
+
+def test_reference_imports_nothing_from_the_library():
+    # an oracle that calls the code it checks cannot catch that code's faults
+    names = absolute_imports((TESTS / "reference.py").read_text(encoding="utf-8"))
+    assert "affinegsb" not in names
+
+
+def test_test_modules_import_no_other_test_module():
+    # shared test code lives in reference (oracles) and conftest (fixtures)
+    modules = {path.stem for path in TESTS.glob("*.py")} - {"reference", "conftest"}
+    for path in sorted(TESTS.glob("*.py")):
+        names = absolute_imports(path.read_text(encoding="utf-8"))
+        assert [m for m in names if m in modules] == [], path.name
