@@ -9,10 +9,11 @@ trivial, which makes rewriting confluent and normal forms unique.
 from __future__ import annotations
 
 import heapq
+import marshal
 import os
 import signal
 import threading
-from array import array
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -430,6 +431,93 @@ def _composite(amb, rs):
     return len(amb.word) > len(rs.rules[amb.i].lhs) and not is_reduced(amb.word[1:-1], rs)
 
 
+def _usable_cpus():
+    """The CPUs this process may run on; 1 without ``os.sched_getaffinity``
+    (not Linux) or while a second thread runs, as a fork copies only the
+    calling thread."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _send(pipe, message):
+    """Write message (ints, bytes, and lists and plain tuples of them) to
+    pipe, framed."""
+    data = marshal.dumps(message)
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _recv(pipe):
+    """The next message ``_send`` wrote to pipe, or None at its end."""
+    head = pipe.read(8)
+    return marshal.loads(pipe.read(int.from_bytes(head, "little"))) if head else None
+
+
+def _reply(pipe):
+    """The next message of a child, which ends its pipe only if it failed."""
+    message = _recv(pipe)
+    if message is None:
+        raise RuntimeError("a composing child failed before its reply")
+    return message
+
+
+@contextmanager
+def _forked(p, serve):
+    """Fork a child for each r = 1, ..., p - 1 that runs
+    ``serve(r, requests, replies)`` on its two pipes and exits; yield the
+    (requests, replies) pipes of the children forked, in order of r.
+
+    A refused fork forks no further, so the caller serves shares
+    len(pipes) + 1, ..., p - 1 itself.  A child never returns into the
+    caller, and no child outlives the block: at its end the pipes are
+    closed and every child reaped, after a SIGKILL if the block raised.
+    A child that exits with a nonzero status raises RuntimeError.
+    """
+    children = []  # (pid, requests, replies)
+    try:
+        for r in range(1, p):
+            (down, to_child), (from_child, up) = os.pipe(), os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (down, to_child, from_child, up):
+                    os.close(fd)
+                break
+            if pid == 0:  # never return, flush inherited stdio or run atexit handlers
+                code = 1
+                try:
+                    # an earlier child sees the end of its requests only
+                    # once no process holds their write end
+                    for _, requests, replies in children:
+                        requests.close()
+                        replies.close()
+                    os.close(to_child)
+                    os.close(from_child)
+                    with open(down, "rb") as requests, open(up, "wb") as replies:
+                        serve(r, requests, replies)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(down)
+            os.close(up)
+            children.append((pid, open(to_child, "wb"), open(from_child, "rb")))
+        yield [(requests, replies) for _, requests, replies in children]
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, requests, replies in children:
+            replies.close()
+            with suppress(BrokenPipeError):  # a request a dead child left unread
+                requests.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
+    if any(statuses):
+        raise RuntimeError(f"a composing child failed; wait statuses {statuses}")
+
+
 _SHARE = 512  # per process: a fork and reap take about 2.5 ms, a composition 18-46 us
 
 
@@ -447,51 +535,41 @@ def is_gs_basis(rs):
     if every ambiguity were composed: by induction on the length of the
     word, a composite one is trivial modulo its word once all shorter ones
     are, and a confluent basis makes every composition trivial.
-    Share r of p (positions r, r + p, ...) is composed by the caller if
-    r = 0, else by a forked child that pipes back its witnesses' positions.
-    p is the usable CPUs, at most one per ``_SHARE`` ambiguities, or 1
-    without ``os.sched_getaffinity`` or with a second thread.  Sorted, the
-    witnesses do not depend on p.  A failed child raises RuntimeError.
+
+    The ambiguities are listed once, by the caller, and split into p
+    interleaved shares: share r holds positions r, r + p, ...  The caller
+    composes share 0 (and any share whose fork was refused), a forked
+    child each other share, which pipes back its witnesses' positions.
+    p is the usable CPUs, at most one per ``_SHARE`` ambiguities, and 1
+    without ``os.sched_getaffinity`` or beside a second thread.  Sorted,
+    the witnesses do not depend on p.  A failed child raises RuntimeError.
     """
     ambs = list(_ambiguities_by_pair(rs))  # builds rs.index before any fork
-    can_fork = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
-    p = max(1, min(len(os.sched_getaffinity(0)) if can_fork else 1, len(ambs) // _SHARE))
-    children, mine = [], [0]  # (pid, read end) of each child; the shares composed here
-    try:
-        for r in range(1, p):
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(rfd)
-                os.close(wfd)
-                mine += range(r, p)
-                break
-            if pid == 0:  # never return, flush inherited stdio or run atexit handlers
-                code = 1
-                try:
-                    with open(wfd, "wb") as out:
-                        out.write(array("I", _failing(ambs, rs, r, p)))
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append((pid, open(rfd, "rb")))
-            os.close(wfd)
+    p = max(1, min(_usable_cpus(), len(ambs) // _SHARE))
+
+    def serve(r, requests, replies):
+        _send(replies, _failing(ambs, rs, r, p))
+
+    with _forked(p, serve) as children:
+        mine = (0, *range(len(children) + 1, p))  # the shares not forked
         positions = [k for r in mine for k in _failing(ambs, rs, r, p)]
-        payloads = [pipe.read() for _, pipe in children]  # to EOF, then reap
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:  # no child outlives the call
-        for _, pipe in children:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    if any(statuses) or any(len(data) % 4 for data in payloads):
-        raise RuntimeError(f"a composing child failed; wait statuses {statuses}")
-    positions += array("I", b"".join(payloads))
+        positions += (k for _, replies in children for k in _reply(replies))
     witnesses = sorted((ambs[k] for k in positions), key=_by_word)
     return (not witnesses, witnesses)
+
+
+def _composed(amb, rs):
+    """The two chain ends of amb's composition over rs, or None if amb is
+    composite or the chains meet."""
+    if _composite(amb, rs):
+        return None
+    x, y = _descendants(amb, rs)
+    return None if x == y else (x, y)
+
+
+_FORK_BATCH = 128  # ambiguities of the batch that forks the drain: at 64 the drains of
+# ~B4, ~D4 and rank 4 ran 1.1-1.3x serial; ranks 5 and 6 run at 0.70-0.77x
+_BATCH = 64  # ambiguities of a batch composed in parts once forked: 128 lost 5-10 %
 
 
 class _Completion:
@@ -509,15 +587,38 @@ class _Completion:
     lie past it.
 
     Invariant: the ambiguities of every pair of rules are queued when the
-    later of the two is added.  ``drain`` skips an ambiguity that is
-    composite with respect to ``live``: the two ambiguities through the
-    inner leading word are shorter, so the heap popped them first.  So
-    once ``drain`` has emptied the queue, every composition is trivial and
-    ``live`` is a Groebner-Shirshov basis; ``complete`` drains once and
+    later of the two is added.  ``drain`` pops every queued ambiguity of
+    the least word length as one batch, composes the whole batch against
+    ``live`` as it was at the start of the batch (frozen), skipping the
+    composite ambiguities, and then passes each pair of chain ends that
+    differ to ``add_equation``, in batch order, which meets them again
+    under the growing ``live``.  This is sound:
+
+    - a composition that the rules of L join stays joined under any
+      L' containing L;
+    - an ambiguity that is composite with respect to the frozen L is also
+      composite with respect to the final set;
+    - the two shorter ambiguities through the inner leading word of a
+      composite one were popped in an earlier batch, because a batch
+      starts only when nothing shorter is queued.
+
+    So once ``drain`` has emptied the queue, every composition is trivial
+    and ``live`` is a Groebner-Shirshov basis; ``complete`` drains once and
     certifies the interreduction, raising ValueError rather than draining
-    again if the certificate fails.  ``prefixes`` and ``suffixes`` file
-    every rule under each proper prefix and each proper suffix of its lhs;
-    they name the rules a new rule overlaps.
+    again if the certificate fails.  The reduced basis is unique for the
+    order (Book & Otto, 1993), so batching keeps ``complete``'s result.
+
+    The first batch of at least ``_FORK_BATCH`` ambiguities forks a child
+    for each usable CPU but one, once per drain; from then on every batch
+    of at least ``_BATCH`` ambiguities is cut into p contiguous parts, one
+    per process.  A child keeps a copy of ``live`` up to date from the
+    rules sent with each request, composes its part and pipes back the
+    chain ends that differ, in batch order; meanwhile the caller composes
+    the first part and adds its pairs.  The drain is
+    batched even when p = 1, so the pushes, the rules and the limit
+    errors never depend on the CPU count.  ``prefixes`` and ``suffixes``
+    file every rule under each proper prefix and each proper suffix of
+    its lhs; they name the rules a new rule overlaps.
     """
 
     def __init__(self, alphabet_size, max_rules, max_degree):
@@ -566,13 +667,43 @@ class _Completion:
         heapq.heappush(self.pending, (deglex_key(amb.word), amb))
 
     def drain(self):
-        while self.pending:
-            _, amb = heapq.heappop(self.pending)
-            if _composite(amb, self.live):
-                continue
-            x, y = _descendants(amb, self.live)
-            if x != y:
-                self.add_equation(x, y)
+        with ExitStack() as stack:
+            children, sent = None, 0  # the children's pipes, once forked; the rules they hold
+            while self.pending:
+                d, batch = len(self.pending[0][1].word), []
+                while self.pending and len(self.pending[0][1].word) == d:
+                    batch.append(heapq.heappop(self.pending)[1])
+                live = self.live
+                if children is None and len(batch) >= _FORK_BATCH and (p := _usable_cpus()) > 1:
+                    live.index  # built once, before the children copy live
+                    children, sent = stack.enter_context(_forked(p, self._serve)), len(live)
+                shared = children if children and len(batch) >= _BATCH else []
+                cut = [len(batch) * r // (len(shared) + 1) for r in range(len(shared) + 2)]
+                for r, (requests, _) in enumerate(shared, 1):
+                    _send(requests, ([tuple(rule) for rule in live.rules[sent:]],
+                                     [tuple(amb) for amb in batch[cut[r]:cut[r + 1]]]))
+                if shared:
+                    sent = len(live)
+                # the first part is composed here, and its pairs added while
+                # the children compose the other parts
+                for amb in batch[:cut[1]]:
+                    if (ends := _composed(amb, live)) is not None:
+                        self.add_equation(*ends)
+                for _, replies in shared:
+                    for x, y in _reply(replies):
+                        self.add_equation(x, y)
+
+    def _serve(self, r, requests, replies):
+        """A child of ``drain``: for each request, extend its copy of
+        ``live`` by the rules sent, and reply with the chain ends of each
+        ambiguity sent whose chain ends differ, in the order sent."""
+        live = self.live
+        while (request := _recv(requests)) is not None:
+            rules, part = request
+            for rule in rules:
+                live = live.extended(Rule(*rule))
+            _send(replies, [ends for amb in part
+                            if (ends := _composed(Ambiguity(*amb), live))])
 
 
 def complete(rs, max_rules=100000, max_degree=64):

@@ -1,8 +1,21 @@
+import os
+
 import pytest
 
 from affinegsb.affine_basis import g_families
 from affinegsb.presentations import affine_a, finite_a
 from affinegsb.rewriting import complete
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps a finished child, pid 0 if it runs
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else 'unreaped'})")
 
 
 @pytest.fixture(scope="session")

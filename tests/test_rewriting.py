@@ -1,6 +1,8 @@
 import copy
 import functools
+import heapq
 import itertools
+import marshal
 import math
 import os
 import pickle
@@ -688,6 +690,20 @@ class AllPairsCompletion(_Completion):
                     self._push(amb)
 
 
+class SerialCompletion(_Completion):
+    """Completion whose drain pops one ambiguity at a time and composes it
+    against the live rules of that moment."""
+
+    def drain(self):
+        while self.pending:
+            _, amb = heapq.heappop(self.pending)
+            if _composite(amb, self.live):
+                continue
+            x, y = _descendants(amb, self.live)
+            if x != y:
+                self.add_equation(x, y)
+
+
 def random_presentation(seed):
     """Seeded relations over 2 or 3 letters; completion may hit a limit."""
     rng = random.Random(seed)
@@ -740,6 +756,36 @@ def test_completion_pushes_as_with_every_live_rule_on_random_presentations():
     assert sum(message is not None for _, _, message in runs) >= 2
 
 
+def complete_by_both_drains(rs, max_degree, monkeypatch):
+    """complete's rules with the batched drain and with the serial one."""
+    batched = complete(rs, max_rules=300, max_degree=max_degree).rules
+    with monkeypatch.context() as patch:
+        patch.setattr(rewriting, "_Completion", SerialCompletion)
+        return batched, complete(rs, max_rules=300, max_degree=max_degree).rules
+
+
+@pytest.mark.parametrize("name", DRAIN_CASES)
+def test_batched_drain_completes_as_the_serial_drain(name, monkeypatch):
+    # the reduced basis is unique for the order, however the drain
+    # orders its compositions
+    batched, serial = complete_by_both_drains(DRAIN_CASES[name], 64, monkeypatch)
+    assert batched == serial
+
+
+def test_batched_drain_completes_as_the_serial_drain_on_random_presentations(monkeypatch):
+    # the seeds that hit no limit; on some of them the two drains create
+    # their rules in another order
+    reordered = 0
+    for seed in range(40):
+        rs = random_presentation(seed)
+        run = recorded(_Completion, rs, 24)
+        if run.message is None:
+            batched, serial = complete_by_both_drains(rs, 24, monkeypatch)
+            assert batched == serial, seed
+            reordered += run.rules != recorded(SerialCompletion, rs, 24).rules
+    assert reordered
+
+
 COXETER_CASES = {name: rs for name, rs in LIVE_CASES.items() if not name.startswith("pruning")}
 
 
@@ -764,10 +810,12 @@ def test_degree_limit_names_first_ambiguity_pushed_over_it():
     assert len(pushed[-1].word) == 18 and max(len(a.word) for a in pushed[:-1]) <= 15
 
 
-def test_ambiguity_listing_calls_only_overlapping_pairs(monkeypatch):
+def test_ambiguity_listing_calls_only_overlapping_pairs(cpus, monkeypatch):
     # deterministic counts for affine A6; pairing every rule with every
     # rule makes 58,482 calls for complete (29,241 of them certifying) and
-    # 29,241 for is_gs_basis alone
+    # 29,241 for is_gs_basis alone; in one process, so that every call is
+    # counted here
+    cpus(1)
     calls = []
 
     def pair_ambiguities(i, li, j, lj):
@@ -953,7 +1001,7 @@ def assert_no_child_left():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPUs is_gs_basis may use; returns the pids os.fork returned."""
+    """Set the CPUs is_gs_basis and the drain may use; returns the pids os.fork returned."""
     forks = []
 
     def fork():
@@ -1012,7 +1060,7 @@ def test_is_gs_basis_forks_a_child_per_further_cpu(cpus):
 @forking
 def test_is_gs_basis_reads_a_payload_larger_than_a_pipe_buffer(cpus, monkeypatch):
     # every prime ambiguity of g_families(9) fails, so the child sends
-    # back every odd position of one: 4 bytes each, well over 64 KiB
+    # back every odd position of one: at least 4 bytes each, well over 64 KiB
     rs = g_families(9)
     monkeypatch.setattr(rewriting, "composition_remainder", lambda amb, rs: Rule(b"\1", b""))
     ambs = list(rewriting._ambiguities_by_pair(rs))
@@ -1075,6 +1123,121 @@ def test_is_gs_basis_composes_unforked_shares_itself(cpus, monkeypatch):
     assert_no_child_left()
 
 
+def traces(cases):
+    """The pushes, rules and limit message of completing each (rs, max_degree),
+    recorded afresh."""
+    return [_record.__wrapped__(_Completion, rs, max_degree, 300)[:3] for rs, max_degree in cases]
+
+
+@forking
+@pytest.mark.parametrize("count", [2, 4])
+def test_completion_traces_do_not_depend_on_the_cpus(count, cpus):
+    cases = [*((rs, 64) for rs in LIVE_CASES.values()),
+             *((random_presentation(seed), 24) for seed in range(40))]
+    cpus(1)
+    expected = traces(cases)
+    forks = cpus(count)
+    a5 = list(LIVE_CASES).index("affine_a5")
+    assert traces(cases[a5:a5 + 1]) == expected[a5:a5 + 1]
+    assert len(forks) == count - 1  # once per drain, a child per further CPU
+    assert traces(cases) == expected
+
+
+def drain_affine_a5(max_rules=300):
+    rs = LIVE_CASES["affine_a5"]
+    state = _Completion(rs.alphabet_size, max_rules=max_rules, max_degree=64)
+    for r in rs.rules:
+        state.add_equation(r.lhs, r.rhs)
+    state.drain()
+
+
+@forking
+def test_drain_raises_when_its_child_fails(cpus, monkeypatch):
+    parent, in_child = os.getpid(), []
+
+    def descendants(amb, rs):
+        if os.getpid() != parent:
+            in_child.append(amb)
+            if len(in_child) > 100:
+                raise ValueError("in the child")
+        return _descendants(amb, rs)
+
+    monkeypatch.setattr(rewriting, "_descendants", descendants)
+    forks = cpus(2)
+    with pytest.raises(RuntimeError, match="child failed"):
+        drain_affine_a5()
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@forking
+def test_drain_reaps_its_child_at_the_rule_limit(cpus):
+    # affine A5 forks with 66 live rules and creates 105
+    cpus(1)
+    with pytest.raises(CompletionLimitError) as serial:
+        drain_affine_a5(max_rules=90)
+    forks = cpus(2)
+    with pytest.raises(CompletionLimitError) as forked:
+        drain_affine_a5(max_rules=90)
+    assert len(forks) == 1
+    assert str(forked.value) == str(serial.value) == "rule limit 90 exceeded"
+    assert forked.value.partial.rules == serial.value.partial.rules
+    assert_no_child_left()
+
+
+@forking
+def test_drain_reaps_its_child_on_keyboard_interrupt(cpus, monkeypatch):
+    parent, composed = os.getpid(), rewriting._composed
+    forks = cpus(2)
+
+    def interrupted(amb, rs):
+        if forks and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return composed(amb, rs)
+
+    monkeypatch.setattr(rewriting, "_composed", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        drain_affine_a5()
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@forking
+def test_drain_composes_every_part_itself_when_its_fork_is_refused(cpus, monkeypatch):
+    a5 = [(LIVE_CASES["affine_a5"], 64)]
+    cpus(1)
+    expected = traces(a5)
+    cpus(2)
+    refused = []
+
+    def refuse():
+        refused.append(True)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert traces(a5) == expected
+    assert len(refused) == 1  # not tried again for later batches
+
+
+@forking
+def test_drain_child_takes_a_request_and_sends_a_reply_larger_than_a_pipe_buffer(monkeypatch):
+    # the child is sent the last rule of g_families(6) and every
+    # ambiguity, and the composition of every prime one is made to fail
+    rs = g_families(6)
+    state = _Completion(rs.alphabet_size, max_rules=100000, max_degree=64)
+    state.live = RuleSet(rs.rules[:-1], rs.alphabet_size)
+    monkeypatch.setattr(rewriting, "_descendants", lambda amb, rs: (amb.word, b""))
+    ambs = ambiguities(rs)
+    request = ([tuple(rs.rules[-1])], [tuple(a) for a in ambs])
+    reply = [(a.word, b"") for a in ambs if not _composite(a, rs)]
+    assert min(len(marshal.dumps(request)), len(marshal.dumps(reply))) > 65536
+    with rewriting._forked(2, state._serve) as children:
+        [(requests, replies)] = children
+        rewriting._send(requests, request)
+        assert rewriting._reply(replies) == reply
+    assert_no_child_left()
+
+
 def refuse_fork():
     raise AssertionError("forked")
 
@@ -1084,6 +1247,15 @@ def test_is_gs_basis_forks_nothing_with_one_cpu(cpus, monkeypatch):
     cpus(1)
     monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
     assert is_gs_basis(rs) == serial_gs_basis(rs) == (True, [])
+
+
+@pytest.mark.parametrize("name", ["affine_a3", "B3", "~C2"])
+def test_small_completions_fork_nothing(name, cpus, monkeypatch):
+    # neither the drain nor the certificate forks for these sizes
+    rs = DRAIN_CASES[name]
+    cpus(2)
+    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
+    assert is_gs_basis(complete(rs)) == (True, [])
 
 
 def test_is_gs_basis_forks_nothing_beside_a_second_thread(cpus, monkeypatch):
@@ -1098,6 +1270,23 @@ def test_is_gs_basis_forks_nothing_beside_a_second_thread(cpus, monkeypatch):
     finally:
         release.set()
         thread.join(timeout=10)
+
+
+def test_drain_forks_nothing_beside_a_second_thread(cpus, monkeypatch):
+    a5 = [(LIVE_CASES["affine_a5"], 64)]
+    cpus(1)
+    expected = traces(a5)
+    cpus(2)
+    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert traces(a5) == expected
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
     assert not thread.is_alive()
 
 
