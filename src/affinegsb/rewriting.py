@@ -455,6 +455,14 @@ def _recv(pipe):
     return marshal.loads(pipe.read(int.from_bytes(head, "little"))) if head else None
 
 
+def _request(pipe, message):
+    """Send message to a child, which closes its pipe only if it failed."""
+    try:
+        _send(pipe, message)
+    except BrokenPipeError:
+        raise RuntimeError("a composing child failed before a request") from None
+
+
 def _reply(pipe):
     """The next message of a child, which ends its pipe only if it failed."""
     message = _recv(pipe)
@@ -680,8 +688,8 @@ class _Completion:
                 shared = children if children and len(batch) >= _BATCH else []
                 cut = [len(batch) * r // (len(shared) + 1) for r in range(len(shared) + 2)]
                 for r, (requests, _) in enumerate(shared, 1):
-                    _send(requests, ([tuple(rule) for rule in live.rules[sent:]],
-                                     [tuple(amb) for amb in batch[cut[r]:cut[r + 1]]]))
+                    _request(requests, ([tuple(rule) for rule in live.rules[sent:]],
+                                        [tuple(amb) for amb in batch[cut[r]:cut[r + 1]]]))
                 if shared:
                     sent = len(live)
                 # the first part is composed here, and its pairs added while
