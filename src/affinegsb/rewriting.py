@@ -460,32 +460,32 @@ def _request(pipe, message):
     try:
         _send(pipe, message)
     except BrokenPipeError:
-        raise RuntimeError("a composing child failed before a request") from None
+        raise ChildProcessError("a composing child failed before a request") from None
 
 
 def _reply(pipe):
     """The next message of a child, which ends its pipe only if it failed."""
     message = _recv(pipe)
     if message is None:
-        raise RuntimeError("a composing child failed before its reply")
+        raise ChildProcessError("a composing child failed before its reply")
     return message
 
 
 @contextmanager
 def _forked(p, serve):
-    """Fork a child for each r = 1, ..., p - 1 that runs
-    ``serve(r, requests, replies)`` on its two pipes and exits; yield the
-    (requests, replies) pipes of the children forked, in order of r.
+    """Fork up to p - 1 children that each run ``serve(requests, replies)``
+    on their two pipes and exit; yield the (requests, replies) pipes of the
+    children forked, in the order forked.
 
-    A refused fork forks no further, so the caller serves shares
-    len(pipes) + 1, ..., p - 1 itself.  A child never returns into the
-    caller, and no child outlives the block: at its end the pipes are
-    closed and every child reaped, after a SIGKILL if the block raised.
-    A child that exits with a nonzero status raises RuntimeError.
+    A refused fork forks no further, so fewer children may be yielded.
+    A child never returns into the caller, and no child outlives the
+    block: at its end the pipes are closed and every child reaped, after
+    a SIGKILL if the block raised.  A child that exits with a nonzero
+    status raises ChildProcessError.
     """
     children = []  # (pid, requests, replies)
     try:
-        for r in range(1, p):
+        for _ in range(p - 1):
             (down, to_child), (from_child, up) = os.pipe(), os.pipe()
             try:
                 pid = os.fork()
@@ -504,7 +504,7 @@ def _forked(p, serve):
                     os.close(to_child)
                     os.close(from_child)
                     with open(down, "rb") as requests, open(up, "wb") as replies:
-                        serve(r, requests, replies)
+                        serve(requests, replies)
                     code = 0
                 finally:
                     os._exit(code)
@@ -523,16 +523,46 @@ def _forked(p, serve):
                 requests.close()
         statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
     if any(statuses):
-        raise RuntimeError(f"a composing child failed; wait statuses {statuses}")
+        raise ChildProcessError(f"a composing child failed; wait statuses {statuses}")
+
+
+def _serving(rs):
+    """The loop of a composing child forked with rs: for each request
+    (rules, part), extend its copy of rs by the rules sent and reply with
+    the list ``_composed_in_parts`` yields for the part over it."""
+    def serve(requests, replies):
+        live = rs
+        while (request := _recv(requests)) is not None:
+            rules, part = request
+            for rule in rules:
+                live = live.extended(Rule(*rule))
+            _send(replies, list(_composed_in_parts([Ambiguity(*a) for a in part], live, (), ())))
+    return serve
+
+
+def _composed_in_parts(batch, rs, children, rules):
+    """(k, lhs, rhs) for each prime ambiguity batch[k] whose composition
+    over rs leaves the remainder rule lhs -> rhs, in batch order.
+
+    The batch is cut into contiguous parts, one per process.  Each child
+    of ``_serving(rs)`` is sent rules, those added to rs since it last
+    heard, and its part; the caller's part comes first and is yielded
+    while the children compose theirs.  A failed child raises
+    ChildProcessError.
+    """
+    cut = [len(batch) * r // (len(children) + 1) for r in range(len(children) + 2)]
+    for r, (requests, _) in enumerate(children, 1):
+        _request(requests, ([tuple(rule) for rule in rules],
+                            [tuple(amb) for amb in batch[cut[r]:cut[r + 1]]]))
+    for k, amb in enumerate(batch[:cut[1]]):
+        if not _composite(amb, rs) and (rule := composition_remainder(amb, rs)) is not None:
+            yield (k, *rule)
+    for r, (_, replies) in enumerate(children, 1):
+        for k, lhs, rhs in _reply(replies):
+            yield (cut[r] + k, lhs, rhs)
 
 
 _SHARE = 512  # per process: a fork and reap take about 2.5 ms, a composition 18-46 us
-
-
-def _failing(ambs, rs, r, p):
-    """Positions r, r + p, ... in ambs of the prime ambiguities whose composition fails."""
-    return [k for k in range(r, len(ambs), p)
-            if not _composite(ambs[k], rs) and composition_remainder(ambs[k], rs) is not None]
 
 
 def is_gs_basis(rs):
@@ -544,35 +574,23 @@ def is_gs_basis(rs):
     word, a composite one is trivial modulo its word once all shorter ones
     are, and a confluent basis makes every composition trivial.
 
-    The ambiguities are listed once, by the caller, and split into p
-    interleaved shares: share r holds positions r, r + p, ...  The caller
-    composes share 0 (and any share whose fork was refused), a forked
-    child each other share, which pipes back its witnesses' positions.
-    p is the usable CPUs, at most one per ``_SHARE`` ambiguities, and 1
-    without ``os.sched_getaffinity`` or beside a second thread.  Sorted,
-    the witnesses do not depend on p.  A failed child raises RuntimeError.
+    The ambiguities are listed once, before any fork, and dealt out in
+    turn to p shares laid end to end (share r holds positions r, r + p,
+    ... of the listing), so that each contiguous part of
+    ``_composed_in_parts`` takes a like mix of words.  The caller composes
+    the first part and a forked child each other part, one per child that
+    ``_forked`` got.  p is the usable CPUs, at most one per ``_SHARE``
+    ambiguities, and 1 without ``os.sched_getaffinity`` or beside a second
+    thread.  Sorted, the witnesses do not depend on p.  A failed child
+    raises ChildProcessError.
     """
     ambs = list(_ambiguities_by_pair(rs))  # builds rs.index before any fork
     p = max(1, min(_usable_cpus(), len(ambs) // _SHARE))
-
-    def serve(r, requests, replies):
-        _send(replies, _failing(ambs, rs, r, p))
-
-    with _forked(p, serve) as children:
-        mine = (0, *range(len(children) + 1, p))  # the shares not forked
-        positions = [k for r in mine for k in _failing(ambs, rs, r, p)]
-        positions += (k for _, replies in children for k in _reply(replies))
+    ambs = [a for r in range(p) for a in ambs[r::p]]
+    with _forked(p, _serving(rs)) as children:
+        positions = [k for k, _, _ in _composed_in_parts(ambs, rs, children, ())]
     witnesses = sorted((ambs[k] for k in positions), key=_by_word)
     return (not witnesses, witnesses)
-
-
-def _composed(amb, rs):
-    """The two chain ends of amb's composition over rs, or None if amb is
-    composite or the chains meet."""
-    if _composite(amb, rs):
-        return None
-    x, y = _descendants(amb, rs)
-    return None if x == y else (x, y)
 
 
 _FORK_BATCH = 128  # ambiguities of the batch that forks the drain: at 64 the drains of
@@ -598,9 +616,10 @@ class _Completion:
     later of the two is added.  ``drain`` pops every queued ambiguity of
     the least word length as one batch, composes the whole batch against
     ``live`` as it was at the start of the batch (frozen), skipping the
-    composite ambiguities, and then passes each pair of chain ends that
-    differ to ``add_equation``, in batch order, which meets them again
-    under the growing ``live``.  This is sound:
+    composite ambiguities, and then passes each nontrivial remainder to
+    ``add_equation``, in batch order, which meets its two sides again
+    under the growing ``live`` (``_meet`` ignores their order, so this is
+    the meet of the two chain ends).  This is sound:
 
     - a composition that the rules of L join stays joined under any
       L' containing L;
@@ -617,12 +636,10 @@ class _Completion:
     order (Book & Otto, 1993), so batching keeps ``complete``'s result.
 
     The first batch of at least ``_FORK_BATCH`` ambiguities forks a child
-    for each usable CPU but one, once per drain; from then on every batch
-    of at least ``_BATCH`` ambiguities is cut into p contiguous parts, one
-    per process.  A child keeps a copy of ``live`` up to date from the
-    rules sent with each request, composes its part and pipes back the
-    chain ends that differ, in batch order; meanwhile the caller composes
-    the first part and adds its pairs.  The drain is
+    of ``_serving(live)`` for each usable CPU but one, once per drain;
+    from then on ``_composed_in_parts`` cuts every batch of at least
+    ``_BATCH`` ambiguities into contiguous parts, one per process, and
+    sends each child the rules added since its last part.  The drain is
     batched even when p = 1, so the pushes, the rules and the limit
     errors never depend on the CPU count.  ``prefixes`` and ``suffixes``
     file every rule under each proper prefix and each proper suffix of
@@ -684,34 +701,13 @@ class _Completion:
                 live = self.live
                 if children is None and len(batch) >= _FORK_BATCH and (p := _usable_cpus()) > 1:
                     live.index  # built once, before the children copy live
-                    children, sent = stack.enter_context(_forked(p, self._serve)), len(live)
+                    children, sent = stack.enter_context(_forked(p, _serving(live))), len(live)
                 shared = children if children and len(batch) >= _BATCH else []
-                cut = [len(batch) * r // (len(shared) + 1) for r in range(len(shared) + 2)]
-                for r, (requests, _) in enumerate(shared, 1):
-                    _request(requests, ([tuple(rule) for rule in live.rules[sent:]],
-                                        [tuple(amb) for amb in batch[cut[r]:cut[r + 1]]]))
+                # the caller's part is added while the children compose theirs
+                for _, lhs, rhs in _composed_in_parts(batch, live, shared, live.rules[sent:]):
+                    self.add_equation(lhs, rhs)
                 if shared:
                     sent = len(live)
-                # the first part is composed here, and its pairs added while
-                # the children compose the other parts
-                for amb in batch[:cut[1]]:
-                    if (ends := _composed(amb, live)) is not None:
-                        self.add_equation(*ends)
-                for _, replies in shared:
-                    for x, y in _reply(replies):
-                        self.add_equation(x, y)
-
-    def _serve(self, r, requests, replies):
-        """A child of ``drain``: for each request, extend its copy of
-        ``live`` by the rules sent, and reply with the chain ends of each
-        ambiguity sent whose chain ends differ, in the order sent."""
-        live = self.live
-        while (request := _recv(requests)) is not None:
-            rules, part = request
-            for rule in rules:
-                live = live.extended(Rule(*rule))
-            _send(replies, [ends for amb in part
-                            if (ends := _composed(Ambiguity(*amb), live))])
 
 
 def complete(rs, max_rules=100000, max_degree=64):

@@ -18,6 +18,27 @@ def no_child_left():
     pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else 'unreaped'})")
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs is_gs_basis and the drain may use; returns the pids os.fork returned."""
+    forks = []
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    real_fork = getattr(os, "fork", None)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+
+    def use(count):
+        forks.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        return forks
+    return use
+
+
 @pytest.fixture(scope="session")
 def affine2_basis():
     return complete(affine_a(2).to_rules())

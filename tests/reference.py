@@ -151,6 +151,15 @@ def right_descents(window):
     return out
 
 
+def affine_inversions(window):
+    """The length of x, given its window: Shi's count, the sum over
+    i < j of |floor((x(j) - x(i)) / (n + 1))| (Bjorner & Brenti,
+    Combinatorics of Coxeter Groups, 2005, section 8.3)."""
+    size = len(window)
+    return sum(abs((window[j] - window[i]) // size)
+               for i in range(size) for j in range(i + 1, size))
+
+
 def group_normal_form(word, n):
     """The deg-lex normal form of the element a reduced or unreduced word
     names, read off the window of its inverse."""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from affinegsb import affine_basis, cli
+from affinegsb import affine_basis, cli, rewriting
 from affinegsb.cli import run
 from affinegsb.presentations import affine_a, parse, serialize
 from affinegsb.rewriting import Rule, RuleSet, _Completion, complete, interreduce, is_gs_basis
@@ -204,6 +204,23 @@ def test_failed_completion_certificate_is_one_line_error(monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: completion fails its certificate: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("argv", ["verify --n 5", "reduce --builtin affine-a --n 5 --word 'r0 r1'"])
+def test_failed_composing_child_is_one_line_error(argv, cpus, monkeypatch):
+    parent, descendants = os.getpid(), rewriting._descendants
+
+    def fail_in_a_child(amb, rs):
+        if os.getpid() != parent:
+            raise ValueError("in a child")
+        return descendants(amb, rs)
+
+    monkeypatch.setattr(rewriting, "_descendants", fail_in_a_child)
+    forks = cpus(2)
+    code, out, err = invoke(*shlex.split(argv))
+    assert code == 1 and out == "" and len(forks) == 1
+    assert err == "error: a composing child failed before its reply\n"
 
 
 def test_verify_match():

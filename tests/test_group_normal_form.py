@@ -4,6 +4,7 @@ that enumeration does not reach.  The window model of the group lives in
 ``reference``, which shares no code with the library.
 """
 
+import functools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from affinegsb.affine_basis import g_families
 from affinegsb.rewriting import is_reduced, normal_form
 from affinegsb.word_classes import classify, marked_components, rebuild
-from reference import group_normal_form, right_descents, times
+from reference import affine_inversions, group_normal_form, right_descents, times
 
 
 def length_increasing_walk(n, length, rng):
@@ -48,3 +49,14 @@ def test_explicit_basis_and_classification_agree_with_the_group(n):
         base = rebuild(marked_components(c.arranged))
         assert base.skeleton == c.arranged.skeleton
         assert all(m >= low for m, low in zip(c.arranged.exponents, base.exponents))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_group_normal_form_length_is_the_affine_inversion_count(n):
+    rng = random.Random(2000 + n)
+    walks = [length_increasing_walk(n, rng.randrange(61), rng) for _ in range(10)]
+    unreduced = [bytes(rng.randrange(n + 1) for _ in range(rng.randrange(61))) for _ in range(10)]
+    for word in walks + unreduced:
+        inversions = affine_inversions(functools.reduce(times, word, tuple(range(1, n + 2))))
+        assert len(group_normal_form(word, n)) == inversions
+        assert word not in walks or len(word) == inversions

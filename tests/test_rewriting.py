@@ -996,27 +996,6 @@ def serial_gs_basis(rs):
     return (not witnesses, witnesses)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPUs is_gs_basis and the drain may use; returns the pids os.fork returned."""
-    forks = []
-
-    def fork():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
-
-    real_fork = getattr(os, "fork", None)
-    monkeypatch.setattr(os, "fork", fork, raising=False)
-
-    def use(count):
-        forks.clear()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-        return forks
-    return use
-
-
 forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
@@ -1052,19 +1031,6 @@ def test_is_gs_basis_forks_a_child_per_further_cpu(cpus):
 
 
 @forking
-def test_is_gs_basis_reads_a_payload_larger_than_a_pipe_buffer(cpus, monkeypatch):
-    # every prime ambiguity of g_families(9) fails, so the child sends
-    # back every odd position of one: at least 4 bytes each, well over 64 KiB
-    rs = g_families(9)
-    monkeypatch.setattr(rewriting, "composition_remainder", lambda amb, rs: Rule(b"\1", b""))
-    ambs = list(rewriting._ambiguities_by_pair(rs))
-    assert len(ambs) == 38_919
-    assert 4 * sum(k % 2 and not _composite(a, rs) for k, a in enumerate(ambs)) > 65536
-    cpus(2)
-    assert is_gs_basis(rs) == serial_gs_basis(rs)
-
-
-@forking
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_is_gs_basis_reaps_its_children_when_a_share_raises(error, cpus, monkeypatch):
     rs = g_families(5)
@@ -1079,22 +1045,6 @@ def test_is_gs_basis_reaps_its_children_when_a_share_raises(error, cpus, monkeyp
     with pytest.raises(error, match="in the parent"):
         is_gs_basis(rs)
     assert len(forks) == 1
-
-
-@forking
-def test_is_gs_basis_raises_when_a_child_fails(cpus, monkeypatch):
-    rs = g_families(5)
-    parent = os.getpid()
-
-    def composition_remainder(amb, rs):
-        if os.getpid() != parent:
-            raise ValueError("in the child")
-        return None
-
-    monkeypatch.setattr(rewriting, "composition_remainder", composition_remainder)
-    cpus(2)
-    with pytest.raises(RuntimeError, match="child failed"):
-        is_gs_basis(rs)
 
 
 @forking
@@ -1141,9 +1091,17 @@ def drain_affine_a5(max_rules=300):
     state.drain()
 
 
+def forking_caller(name):
+    """A call of is_gs_basis or of the drain that forks with two CPUs."""
+    if name == "is_gs_basis":
+        return lambda: is_gs_basis(basis_subset(5, 5005))
+    return lambda: traces([(LIVE_CASES["affine_a5"], 64)])
+
+
 @forking
-def test_drain_raises_when_its_child_fails(cpus, monkeypatch):
-    parent, in_child = os.getpid(), []
+@pytest.mark.parametrize("caller", ["is_gs_basis", "drain"])
+def test_raises_when_a_child_fails(caller, cpus, monkeypatch):
+    parent, in_child, call = os.getpid(), [], forking_caller(caller)
 
     def descendants(amb, rs):
         if os.getpid() != parent:
@@ -1154,8 +1112,8 @@ def test_drain_raises_when_its_child_fails(cpus, monkeypatch):
 
     monkeypatch.setattr(rewriting, "_descendants", descendants)
     forks = cpus(2)
-    with pytest.raises(RuntimeError, match="child failed"):
-        drain_affine_a5()
+    with pytest.raises(ChildProcessError, match="child failed before its reply"):
+        call()
     assert len(forks) == 1
 
 
@@ -1170,7 +1128,7 @@ def test_drain_raises_when_its_child_dies_between_two_requests(cpus, monkeypatch
         return message
 
     monkeypatch.setattr(rewriting, "_reply", reply_then_kill)
-    with pytest.raises(RuntimeError, match="child failed before a request"):
+    with pytest.raises(ChildProcessError, match="child failed before a request"):
         drain_affine_a5()
     assert len(forks) == 1
 
@@ -1191,15 +1149,15 @@ def test_drain_reaps_its_child_at_the_rule_limit(cpus):
 
 @forking
 def test_drain_reaps_its_child_on_keyboard_interrupt(cpus, monkeypatch):
-    parent, composed = os.getpid(), rewriting._composed
+    parent, remainder = os.getpid(), rewriting.composition_remainder
     forks = cpus(2)
 
     def interrupted(amb, rs):
         if forks and os.getpid() == parent:
             raise KeyboardInterrupt
-        return composed(amb, rs)
+        return remainder(amb, rs)
 
-    monkeypatch.setattr(rewriting, "_composed", interrupted)
+    monkeypatch.setattr(rewriting, "composition_remainder", interrupted)
     with pytest.raises(KeyboardInterrupt):
         drain_affine_a5()
     assert len(forks) == 1
@@ -1223,18 +1181,17 @@ def test_drain_composes_every_part_itself_when_its_fork_is_refused(cpus, monkeyp
 
 
 @forking
-def test_drain_child_takes_a_request_and_sends_a_reply_larger_than_a_pipe_buffer(monkeypatch):
-    # the child is sent the last rule of g_families(6) and every
-    # ambiguity, and the composition of every prime one is made to fail
+def test_serving_takes_a_request_and_sends_a_reply_larger_than_a_pipe_buffer(monkeypatch):
+    # the child holds g_families(6) but its last rule; it is sent that
+    # rule and every ambiguity, and every prime one is made to fail
     rs = g_families(6)
-    state = _Completion(rs.alphabet_size, max_rules=100000, max_degree=64)
-    state.live = RuleSet(rs.rules[:-1], rs.alphabet_size)
     monkeypatch.setattr(rewriting, "_descendants", lambda amb, rs: (amb.word, b""))
     ambs = ambiguities(rs)
     request = ([tuple(rs.rules[-1])], [tuple(a) for a in ambs])
-    reply = [(a.word, b"") for a in ambs if not _composite(a, rs)]
+    reply = [(k, a.word, b"") for k, a in enumerate(ambs) if not _composite(a, rs)]
     assert min(len(marshal.dumps(request)), len(marshal.dumps(reply))) > 65536
-    with rewriting._forked(2, state._serve) as children:
+    serve = rewriting._serving(RuleSet(rs.rules[:-1], rs.alphabet_size))
+    with rewriting._forked(2, serve) as children:
         [(requests, replies)] = children
         rewriting._request(requests, request)
         assert rewriting._reply(replies) == reply
@@ -1274,22 +1231,15 @@ def second_thread():
     assert not thread.is_alive()
 
 
-def test_is_gs_basis_forks_nothing_beside_a_second_thread(cpus, monkeypatch):
-    rs = basis_subset(5, 5005)
-    cpus(2)
-    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
-    with second_thread():
-        assert is_gs_basis(rs) == serial_gs_basis(rs)
-
-
-def test_drain_forks_nothing_beside_a_second_thread(cpus, monkeypatch):
-    a5 = [(LIVE_CASES["affine_a5"], 64)]
+@pytest.mark.parametrize("caller", ["is_gs_basis", "drain"])
+def test_forks_nothing_beside_a_second_thread(caller, cpus, monkeypatch):
+    call = forking_caller(caller)
     cpus(1)
-    expected = traces(a5)
+    expected = call()
     cpus(2)
     monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
     with second_thread():
-        assert traces(a5) == expected
+        assert call() == expected
 
 
 def random_defining_word(rng, n, max_len):
