@@ -989,7 +989,7 @@ def test_is_gs_basis_accepts_or_rejects(rs, ok):
 
 
 def serial_gs_basis(rs):
-    """is_gs_basis composed in one process: the reference for its shares."""
+    """is_gs_basis composed in one process: the reference for its forked parts."""
     witnesses = [a for a in rewriting._ambiguities_by_pair(rs)
                  if not _composite(a, rs) and rewriting.composition_remainder(a, rs) is not None]
     witnesses.sort(key=rewriting._by_word)
