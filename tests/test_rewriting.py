@@ -1030,6 +1030,19 @@ def test_is_gs_basis_forks_a_child_per_further_cpu(cpus):
     assert len(forks) == 3
 
 
+def test_is_gs_basis_reads_a_payload_larger_than_a_pipe_buffer(cpus, monkeypatch):
+    # every prime ambiguity of g_families(9) fails, so the child sends
+    # back (position, lhs, rhs) for each one at an odd position of the
+    # listing: at least 4 bytes each, well over 64 KiB
+    rs = g_families(9)
+    monkeypatch.setattr(rewriting, "composition_remainder", lambda amb, rs: Rule(b"\1", b""))
+    ambs = list(rewriting._ambiguities_by_pair(rs))
+    assert len(ambs) == 38_919
+    assert 4 * sum(k % 2 and not _composite(a, rs) for k, a in enumerate(ambs)) > 65536
+    cpus(2)
+    assert is_gs_basis(rs) == serial_gs_basis(rs)
+
+
 @forking
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_is_gs_basis_reaps_its_children_when_a_share_raises(error, cpus, monkeypatch):
@@ -1181,9 +1194,10 @@ def test_drain_composes_every_part_itself_when_its_fork_is_refused(cpus, monkeyp
 
 
 @forking
-def test_serving_takes_a_request_and_sends_a_reply_larger_than_a_pipe_buffer(monkeypatch):
-    # the child holds g_families(6) but its last rule; it is sent that
-    # rule and every ambiguity, and every prime one is made to fail
+def test_drain_child_takes_a_request_and_sends_a_reply_larger_than_a_pipe_buffer(monkeypatch):
+    # the drain's child, _serving of its live rules, holds g_families(6)
+    # but its last rule; it is sent that rule and every ambiguity, and
+    # every prime one is made to fail
     rs = g_families(6)
     monkeypatch.setattr(rewriting, "_descendants", lambda amb, rs: (amb.word, b""))
     ambs = ambiguities(rs)
