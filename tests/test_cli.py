@@ -209,14 +209,19 @@ def test_failed_completion_certificate_is_one_line_error(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 @pytest.mark.parametrize("argv", ["verify --n 5", "reduce --builtin affine-a --n 5 --word 'r0 r1'"])
 def test_failed_composing_child_is_one_line_error(argv, cpus, monkeypatch):
-    parent, descendants = os.getpid(), rewriting._descendants
+    # the drain's child composes with _descendants; is_gs_basis's children
+    # take normal forms with _resumed_normal_forms
+    parent = os.getpid()
 
-    def fail_in_a_child(amb, rs):
-        if os.getpid() != parent:
-            raise ValueError("in a child")
-        return descendants(amb, rs)
+    def failing_in_a_child(work):
+        def fail_in_a_child(*args):
+            if os.getpid() != parent:
+                raise ValueError("in a child")
+            return work(*args)
+        return fail_in_a_child
 
-    monkeypatch.setattr(rewriting, "_descendants", fail_in_a_child)
+    for name in ("_descendants", "_resumed_normal_forms"):
+        monkeypatch.setattr(rewriting, name, failing_in_a_child(getattr(rewriting, name)))
     forks = cpus(2)
     code, out, err = invoke(*shlex.split(argv))
     assert code == 1 and out == "" and len(forks) == 1

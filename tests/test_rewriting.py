@@ -1004,7 +1004,7 @@ forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_is_gs_basis_in_two_processes_matches_serial(name, cpus):
     rs = g_families(5) if name == "g_families(5)" else complete(H4, max_degree=160)
     forks = cpus(2)
-    assert len(ambiguities(rs)) >= 2 * rewriting._SHARE
+    assert len(ambiguities(rs)) >= 2 * rewriting._RUN
     assert is_gs_basis(rs) == serial_gs_basis(rs) == (True, [])
     assert len(forks) == 1
 
@@ -1025,22 +1025,35 @@ def test_is_gs_basis_shares_find_the_serial_witnesses_on_subsets(n, count, cpus)
 def test_is_gs_basis_forks_a_child_per_further_cpu(cpus):
     rs = basis_subset(6, 6006)
     forks = cpus(4)
-    assert len(ambiguities(rs)) >= 4 * rewriting._SHARE
+    assert len(ambiguities(rs)) >= 4 * rewriting._RUN
     assert is_gs_basis(rs) == serial_gs_basis(rs)
     assert len(forks) == 3
 
 
+@forking
 def test_is_gs_basis_reads_a_payload_larger_than_a_pipe_buffer(cpus, monkeypatch):
-    # every prime ambiguity of g_families(9) fails, so the child sends
-    # back (position, lhs, rhs) for each one at an odd position of the
-    # listing: at least 4 bytes each, well over 64 KiB
-    rs = g_families(9)
-    monkeypatch.setattr(rewriting, "composition_remainder", lambda amb, rs: Rule(b"\1", b""))
-    ambs = list(rewriting._ambiguities_by_pair(rs))
-    assert len(ambs) == 38_919
-    assert 4 * sum(k % 2 and not _composite(a, rs) for k, a in enumerate(ambs)) > 65536
-    cpus(2)
-    assert is_gs_basis(rs) == serial_gs_basis(rs)
+    # a child replies with whether its run is joined; here its reply is
+    # the normal forms of its run instead, which are truthy and, at
+    # g_families(6), over 64 KiB
+    rs = g_families(6)
+    parent, joined, replies = os.getpid(), rewriting._joined, []
+
+    def forms_in_a_child(ambs, rs):
+        if os.getpid() == parent:
+            return joined(ambs, rs)
+        words = sorted({w for a in ambs for w in rewriting._rewrites(a, rs.rules)})
+        return rewriting._resumed_normal_forms(words, rs)
+
+    def reply(pipe):
+        replies.append(real_reply(pipe))
+        return replies[-1]
+
+    real_reply = rewriting._reply
+    monkeypatch.setattr(rewriting, "_joined", forms_in_a_child)
+    monkeypatch.setattr(rewriting, "_reply", reply)
+    forks = cpus(2)
+    assert is_gs_basis(rs) == serial_gs_basis(rs) == (True, [])
+    assert len(forks) == 1 and len(marshal.dumps(replies[0])) > 65536
 
 
 @forking
@@ -1049,10 +1062,10 @@ def test_is_gs_basis_reaps_its_children_when_a_share_raises(error, cpus, monkeyp
     rs = g_families(5)
     parent = os.getpid()
 
-    def composition_remainder(amb, rs):
+    def resumed_normal_forms(words, rs):
         raise error("in the child" if os.getpid() != parent else "in the parent")
 
-    monkeypatch.setattr(rewriting, "composition_remainder", composition_remainder)
+    monkeypatch.setattr(rewriting, "_resumed_normal_forms", resumed_normal_forms)
     forks = cpus(2)
     # a child's exception never leaves the child
     with pytest.raises(error, match="in the parent"):
@@ -1074,6 +1087,115 @@ def test_is_gs_basis_composes_unforked_shares_itself(cpus, monkeypatch):
     monkeypatch.setattr(os, "fork", fork_once)
     assert is_gs_basis(rs) == serial_gs_basis(rs)
     assert len(forks) == 1
+
+
+@forking
+def test_is_gs_basis_takes_the_verdict_of_its_child(cpus):
+    # without rule 88 of g_families(5) the caller's run, the first half of
+    # the listing, is joined, and only the child's run is not
+    rules = g_families(5).rules
+    rs = RuleSet(rules[:88] + rules[89:], 6)
+    ambs = list(rewriting._ambiguities_by_pair(rs))
+    half = len(ambs) // 2
+    assert rewriting._joined(ambs[:half], rs) and not rewriting._joined(ambs[half:], rs)
+    forks = cpus(2)
+    ok, witnesses = is_gs_basis(rs)
+    assert (ok, witnesses) == serial_gs_basis(rs)
+    assert not ok and len(forks) == 1
+
+
+@forking
+@pytest.mark.parametrize("cut", [3, 13], ids=["head", "body"])
+def test_is_gs_basis_raises_when_a_child_dies_inside_its_reply(cut, cpus, monkeypatch):
+    # the child writes the first cut bytes of a frame (8 of head, then a
+    # 26-byte body) and is killed; its parent reads a short head or body
+    parent, send = os.getpid(), rewriting._send
+
+    def killed_while_sending(pipe, message):
+        if os.getpid() == parent:
+            return send(pipe, message)
+        data = marshal.dumps([b"x" * 16])
+        pipe.write((len(data).to_bytes(8, "little") + data)[:cut])
+        pipe.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(rewriting, "_send", killed_while_sending)
+    forks = cpus(2)
+    with pytest.raises(ChildProcessError, match="child failed before its reply"):
+        is_gs_basis(g_families(5))
+    assert len(forks) == 1
+
+
+def sorted_words(rng, size, count, max_len):
+    """count seeded words over size letters, a prefix of every third one
+    and a repeat of every fifth, sorted."""
+    words = [bytes(rng.randrange(size) for _ in range(rng.randint(0, max_len)))
+             for _ in range(count)]
+    words += [w[:rng.randint(0, len(w))] for w in words[::3]]
+    words += words[::5]
+    return sorted(words)
+
+
+def assert_resumed_forms(words, rs):
+    assert rewriting._resumed_normal_forms(words, rs) == [normal_form(w, rs) for w in words]
+
+
+@pytest.mark.parametrize("words", [
+    pytest.param([b""], id="empty"),
+    pytest.param([b"", b"", b"\0"], id="empty-repeated"),
+    pytest.param([b"\1\2\1\2", b"\1\2\1\2\1\2"], id="prefix-of-next"),
+    pytest.param([b"\0\1\2\1\0", b"\0\1\2\1\0", b"\0\1\2\1\0", b"\0\1\2\2"],
+                 id="repeated-then-shorter-prefix"),
+    pytest.param([b"\0\1\2", b"\0\1\2\1\0\1", b"\0\1\2\1\2", b"\0\1\2\2"],
+                 id="prefix-then-falling-prefixes"),
+])
+def test_resumed_normal_forms_are_normal_forms(words, explicit3):
+    assert words == sorted(words)
+    for rs in (explicit3, basis_subset(3, 17), basis_subset(3, 18)):
+        assert_resumed_forms(words, rs)
+
+
+def test_resumed_normal_forms_match_normal_form_off_confluent_sets():
+    # on sets that are not confluent a pass resumed from a wrong snapshot
+    # ends on another word; some words start the next word, equal it or
+    # share a shorter prefix with it
+    rng = random.Random(5)
+    sets = [basis_subset(n, 4000 + n) for n in (2, 3, 4)] + TANGLED[:100]
+    for rs in sets:
+        assert_resumed_forms(sorted_words(rng, rs.alphabet_size, 60, 14), rs)
+
+
+def test_resumed_normal_forms_index_the_rules_past_a_shared_index():
+    # extended sets share an index with up to 8 rules past it
+    rng = random.Random(6)
+    for seed in range(10):
+        rules = list(basis_subset(4, 4100 + seed).rules)
+        rng.shuffle(rules)
+        rs = RuleSet(rules[:-6], 5)
+        rs.index
+        for rule in rules[-6:]:
+            rs = rs.extended(rule)
+        assert rs.index.low[0] == len(rs) - 6
+        assert_resumed_forms(sorted_words(rng, 5, 80, 16), rs)
+
+
+@pytest.mark.parametrize("sets", [
+    pytest.param(lambda: TANGLED, id="tangled"),
+    pytest.param(lambda: [basis_subset(n, 4200 + n) for n in (3, 4, 5)], id="basis-subsets"),
+    pytest.param(lambda: [g_families(n) for n in (2, 3, 4)] + [complete(H3), complete(F4)],
+                 id="confluent"),
+])
+def test_is_gs_basis_flag_by_resumed_forms_at_every_size(sets, monkeypatch):
+    # every set takes the normal-form check, which holds exactly when
+    # each pair of prime rewrites has one normal_form
+    monkeypatch.setattr(rewriting, "_DIRECT", 0)
+    for rs in sets():
+        primes = [a for a in ambiguities(rs) if not _composite(a, rs)]
+        joined = all(normal_form(x, rs) == normal_form(y, rs)
+                     for x, y in (rewriting._rewrites(a, rs.rules) for a in primes))
+        assert rewriting._joined(primes, rs) == joined
+        assert is_gs_basis(rs) == serial_gs_basis(rs)
+        assert is_gs_basis(rs)[0] == joined
 
 
 def traces(cases):
@@ -1111,19 +1233,26 @@ def forking_caller(name):
     return lambda: traces([(LIVE_CASES["affine_a5"], 64)])
 
 
+# the work of a forked child, and the calls of it that a child makes before
+# a planted fault fails it
+CHILD_WORK = {"is_gs_basis": ("_resumed_normal_forms", 0), "drain": ("_descendants", 100)}
+
+
 @forking
 @pytest.mark.parametrize("caller", ["is_gs_basis", "drain"])
 def test_raises_when_a_child_fails(caller, cpus, monkeypatch):
     parent, in_child, call = os.getpid(), [], forking_caller(caller)
+    name, calls = CHILD_WORK[caller]
+    work = getattr(rewriting, name)
 
-    def descendants(amb, rs):
+    def failing(*args):
         if os.getpid() != parent:
-            in_child.append(amb)
-            if len(in_child) > 100:
+            in_child.append(args)
+            if len(in_child) > calls:
                 raise ValueError("in the child")
-        return _descendants(amb, rs)
+        return work(*args)
 
-    monkeypatch.setattr(rewriting, "_descendants", descendants)
+    monkeypatch.setattr(rewriting, name, failing)
     forks = cpus(2)
     with pytest.raises(ChildProcessError, match="child failed before its reply"):
         call()
