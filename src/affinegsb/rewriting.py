@@ -212,37 +212,18 @@ def normal_form(w, rs):
 
     The pass keeps the letters written so far and the index state after
     each.  Where leading words end at the next letter, the lowest-index
-    one (past the index only if no covered one ends there) pops its
-    letters and states and puts its rhs back in front of the unread input
-    (Aho & Corasick, CACM 1975).  Each step is a deg-lex decrease, so the
-    pass ends; on a Groebner-Shirshov basis it ends on the unique normal
-    form (Book & Otto, 1993).  Raises RankMismatchError if w has a symbol
-    outside the alphabet of rs.
+    one pops its letters and states and puts its rhs back in front of the
+    unread input (Aho & Corasick, CACM 1975).  Each step is a deg-lex
+    decrease, so the pass ends; on a Groebner-Shirshov basis it ends on
+    the unique normal form (Book & Otto, 1993).  This is
+    ``_resumed_normal_forms`` of the one word, so a set built by
+    ``extended`` with rules past its shared index is indexed afresh on
+    each call.  Raises RankMismatchError if w has a symbol outside the
+    alphabet of rs.
     """
     if w and max(w) >= rs.alphabet_size:
         raise _outside_alphabet(w, rs.alphabet_size)
-    goto, low, rules = rs.index.goto, rs.index.low, rs.rules
-    # a covered lhs ends at a letter exactly when the state is negative;
-    # only where none does are the rules past the index tested
-    none, end = low[0], len(rules)
-    tail = rules[none:]
-    out, states, todo, s = bytearray(), [0], bytearray(w[::-1]), 0
-    while todo:
-        c = todo.pop()
-        s = goto[s][c]
-        out.append(c)
-        if s < 0:
-            k = low[s]
-        elif not tail or (k := next((j for j, (lhs, _) in enumerate(tail, none)
-                                     if out.endswith(lhs)), end)) == end:
-            states.append(s)
-            continue
-        lhs, rhs = rules[k]
-        del out[len(out) - len(lhs):]
-        del states[len(out) + 1:]
-        todo += rhs[::-1]
-        s = states[-1]
-    return bytes(out)
+    return _resumed_normal_forms([w], rs)[0]
 
 
 def is_reduced(w, rs):
@@ -612,18 +593,15 @@ def _resumed_normal_forms(words, rs):
     the word shares with the word before it.  A pass reads its input in
     segments, the last one after the depths ``_shared_prefixes`` names,
     and leaves a snapshot at the end of each but the last.  Within a
-    segment it scans letters until a leading word ends, rewrites it as
-    ``normal_form`` does (the lowest index wins), and scans its rhs
-    followed by the rest of the segment.  Rules past a shared index are
-    indexed with the others first: they have higher indices than every
-    covered rule, so the lowest index ending at a letter is the same.
-    The loop is kept apart from ``normal_form``'s: run on one word at a
-    time it took 1.16x as long.
+    segment it scans letters until a leading word ends, pops the letters
+    of the lowest-index one, and scans its rhs followed by the rest of
+    the segment.  Rules past a shared index are indexed with the others
+    first: they have higher indices than every covered rule, so the
+    lowest index ending at a letter is the same.
     """
     if rs.index.low[0] < len(rs.rules):
         rs = RuleSet(rs.rules, rs.alphabet_size)
-    goto, low = rs.index.goto, rs.index.low
-    moves = [(len(lhs) - 1, rhs) for lhs, rhs in rs.rules]  # letters before the last
+    goto, low, rules = rs.index.goto, rs.index.low, rs.rules
     common, takes = _shared_prefixes(words)
     saved, forms = [(0, b"", [0])], []  # snapshots (depth, out, states), depth ascending
     for w, d, cuts in zip(words, common, takes):
@@ -643,10 +621,10 @@ def _resumed_normal_forms(words, rs):
                 else:
                     out += seg
                     break
-                # a leading word ends at seg[i]: pop the back letters before
-                # seg[i], scan rhs and then the rest of seg
-                back, rhs = moves[low[s]]
-                i = len(states) - len(out) - 1
+                # a leading word ends at seg[i]: pop its back letters
+                # before seg[i], scan rhs and then the rest of seg
+                lhs, rhs = rules[low[s]]
+                i, back = len(states) - len(out) - 1, len(lhs) - 1
                 if i >= back:
                     out += seg[:i - back]
                 else:
@@ -697,8 +675,6 @@ def _joined_in_runs(ambs, rs):
     return joined
 
 
-_DIRECT = 1000  # ambiguities below which composing is faster: in one process the
-# normal-form check took 1.07x composing on rank 4 (869), 0.59x on ~F4 (1,010)
 _RUN = 512  # ambiguities per process: at 1,024 E7, ~B4 and ~D4 were checked
 # in one process and took 1.2-1.3x as long
 
@@ -715,20 +691,19 @@ def is_gs_basis(rs):
     Rewriting by rs terminates, so the flag does not depend on how the
     two one-step rewrites of each prime ambiguity are reduced (Newman's
     lemma; Book & Otto, String-Rewriting Systems, 1993): rs is confluent
-    exactly when the two have one normal form by any strategy.  So from
-    ``_DIRECT`` ambiguities up the flag is decided by ``normal_form``'s
-    stack pass, each rewrite resumed at the prefix it shares with its
-    sorted neighbour, in contiguous runs of the listing, one per process
-    and at most one per ``_RUN`` ambiguities (``_joined_in_runs``).
-    Only when some pair differs, or below ``_DIRECT``, is each prime
-    ambiguity of the listing composed, in this process, with
+    exactly when the two have one normal form by any strategy.  So the
+    flag is decided by ``normal_form``'s stack pass, each rewrite resumed
+    at the prefix it shares with its sorted neighbour, in contiguous runs
+    of the listing, one per process and at most one per ``_RUN``
+    ambiguities (``_joined_in_runs``).  Only when some pair differs is
+    each prime ambiguity of the listing composed, in this process, with
     ``composition_remainder``; the nontrivial ones are the witnesses,
     sorted by ``_by_word``.  So the flag and the witnesses are those of
     composing every prime ambiguity, for every p.  A failed child raises
     ChildProcessError.
     """
     ambs = list(_ambiguities_by_pair(rs))  # builds rs.index before any fork
-    if len(ambs) >= _DIRECT and _joined_in_runs(ambs, rs):
+    if _joined_in_runs(ambs, rs):
         return (True, [])
     witnesses = sorted((a for a in ambs if not _composite(a, rs)
                         and composition_remainder(a, rs) is not None), key=_by_word)

@@ -31,6 +31,20 @@ def chain_end(w, rules):
     return w
 
 
+def stack_pass_end(w, rules):
+    """w read left to right once: after each letter, the lowest-index rule
+    whose lhs ends the letters written so far pops them, and its rhs goes
+    back in front of the unread input."""
+    written, unread = b"", w
+    while unread:
+        written, unread = written + unread[:1], unread[1:]
+        for lhs, rhs in rules:
+            if written.endswith(lhs):
+                written, unread = written[:-len(lhs)], rhs + unread
+                break
+    return written
+
+
 def one_step_rewrites(amb, rules):
     """The ambiguity word rewritten by rule i at its start and by rule j
     at offset_j."""

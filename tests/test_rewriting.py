@@ -181,6 +181,7 @@ def test_normal_form_under_a_basis_subset_is_reduced_and_names_the_element(seed)
     for _ in range(60):
         w = bytes(rng.randrange(5) for _ in range(rng.randint(0, 60)))
         nf = normal_form(w, rs)
+        assert nf == reference.stack_pass_end(w, rs.rules), w
         assert is_reduced(nf, rs), w
         assert reference.group_normal_form(nf, 4) == reference.group_normal_form(w, 4), w
         parted += nf != reference.chain_end(w, rs.rules)
@@ -189,15 +190,17 @@ def test_normal_form_under_a_basis_subset_is_reduced_and_names_the_element(seed)
 
 def test_normal_form_tests_uncovered_rules_where_they_end():
     # the shared index covers only r1 r2 -> r0; r0 r1 -> r2 lies past it
-    # and ends at the second letter of r0 r1 r2, before r1 r2 ends, so it
-    # is the rule applied first, leaving r2 r2 (not confluent: steps of
-    # reduce_once apply r1 r2 first and reach r0 r0)
+    # (normal_form indexes it afresh) and ends at the second letter of
+    # r0 r1 r2, before r1 r2 ends, so it is the rule applied first,
+    # leaving r2 r2 (not confluent: steps of reduce_once apply r1 r2
+    # first and reach r0 r0)
     base = RuleSet([Rule(b"\x01\x02", b"\x00")], 3)
     assert is_reduced(b"", base)  # builds the index of base
     rs = base.extended(Rule(b"\x00\x01", b"\x02"))
     assert rs.index is base.index and rs.index.low[0] == 1
     w = b"\x00\x01\x02"
     assert normal_form(w, rs) == normal_form(w, RuleSet(rs.rules, 3)) == b"\x02\x02"
+    assert reference.stack_pass_end(w, rs.rules) == b"\x02\x02"
     assert reference.chain_end(w, rs.rules) == b"\x00\x00"
 
 
@@ -1137,7 +1140,9 @@ def sorted_words(rng, size, count, max_len):
 
 
 def assert_resumed_forms(words, rs):
-    assert rewriting._resumed_normal_forms(words, rs) == [normal_form(w, rs) for w in words]
+    expected = [reference.stack_pass_end(w, rs.rules) for w in words]
+    assert rewriting._resumed_normal_forms(words, rs) == expected
+    assert [normal_form(w, rs) for w in words] == expected
 
 
 @pytest.mark.parametrize("words", [
@@ -1185,10 +1190,10 @@ def test_resumed_normal_forms_index_the_rules_past_a_shared_index():
     pytest.param(lambda: [g_families(n) for n in (2, 3, 4)] + [complete(H3), complete(F4)],
                  id="confluent"),
 ])
-def test_is_gs_basis_flag_by_resumed_forms_at_every_size(sets, monkeypatch):
-    # every set takes the normal-form check, which holds exactly when
-    # each pair of prime rewrites has one normal_form
-    monkeypatch.setattr(rewriting, "_DIRECT", 0)
+def test_is_gs_basis_flag_by_resumed_forms_at_every_size(sets):
+    # every set, however few its ambiguities, takes the normal-form
+    # check, which holds exactly when each pair of prime rewrites has one
+    # normal_form
     for rs in sets():
         primes = [a for a in ambiguities(rs) if not _composite(a, rs)]
         joined = all(normal_form(x, rs) == normal_form(y, rs)
@@ -1196,6 +1201,23 @@ def test_is_gs_basis_flag_by_resumed_forms_at_every_size(sets, monkeypatch):
         assert rewriting._joined(primes, rs) == joined
         assert is_gs_basis(rs) == serial_gs_basis(rs)
         assert is_gs_basis(rs)[0] == joined
+
+
+def test_is_gs_basis_composes_nothing_on_confluent_sets_of_few_ambiguities(monkeypatch):
+    # the normal-form check decides the flag at every size, so a
+    # confluent set is never composed
+    sets = [g_families(n) for n in (2, 3, 4)] + [complete(H3), complete(F4)]
+    composed = []
+
+    def counted(amb, rs):
+        composed.append(amb)
+        return composition_remainder(amb, rs)
+
+    monkeypatch.setattr(rewriting, "composition_remainder", counted)
+    for rs in sets:
+        assert len(ambiguities(rs)) < 1000
+        assert is_gs_basis(rs) == (True, [])
+    assert composed == []
 
 
 def traces(cases):
