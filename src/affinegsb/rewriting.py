@@ -124,7 +124,9 @@ class RuleSet:
 
     The rules are kept as a tuple.  The ``index`` over their leading words
     covers ``rules[:index.low[0]]``: all of them when it is built on first
-    use, a prefix when ``extended`` shares the parent's index.
+    use, a prefix when ``extended`` shares the parent's index.  A stack
+    pass (``normal_form``, ``_remainders``) over a set with rules past
+    its shared index re-indexes that set in full, once.
     """
 
     rules: tuple
@@ -217,9 +219,9 @@ def normal_form(w, rs):
     decrease, so the pass ends; on a Groebner-Shirshov basis it ends on
     the unique normal form (Book & Otto, 1993).  This is
     ``_resumed_normal_forms`` of the one word, so a set built by
-    ``extended`` with rules past its shared index is indexed afresh on
-    each call.  Raises RankMismatchError if w has a symbol outside the
-    alphabet of rs.
+    ``extended`` with rules past its shared index is re-indexed in full.
+    Raises RankMismatchError if w has a symbol outside the alphabet of
+    rs.
     """
     if w and max(w) >= rs.alphabet_size:
         raise _outside_alphabet(w, rs.alphabet_size)
@@ -340,70 +342,11 @@ def ambiguities(rs):
     return sorted(_ambiguities_by_pair(rs), key=_by_word)
 
 
-def _meet(x, y, rs):
-    """Step x and y by reduce_once's steps until they meet: two equal
-    words, or else the end reached first and the other end.
-
-    Each step rewrites the deg-lex-greater word; both chains fall
-    strictly, so neither passes a word they share, and they meet exactly
-    when their ends are equal (Book & Otto, String-Rewriting Systems,
-    1993).  Once the greater word is reduced, the other steps to its end.
-    The index scan and the deg-lex comparison are inlined: a step makes
-    no function call.
-    """
-    rules, goto, low = rs.rules, rs.index.goto, rs.index.low
-    none, tail = low[0], rules[low[0]:]
-    end = None  # the end reached first; then only the other word steps
-    while True:
-        if end is None:
-            if x == y:
-                return x, y
-            if len(y) > len(x) or (len(y) == len(x) and y < x):
-                x, y = y, x
-        best, s = none, 0
-        for c in x:
-            s = goto[s][c]
-            if s < 0 and low[s] < best:
-                best = low[s]
-        if best < none:
-            lhs, rhs = rules[best]
-        else:
-            for lhs, rhs in tail:
-                if lhs in x:
-                    break
-            else:
-                if end is not None:
-                    return end, x
-                end, x = x, y
-                continue
-        x = x.replace(lhs, rhs, 1)
-
-
 def _rewrites(amb, rules):
     """The two one-step rewrites of the ambiguity word: by rule amb.i at
     its start and by rule amb.j at offset_j."""
     ri, rj, w, p = rules[amb.i], rules[amb.j], amb.word, amb.offset_j
     return ri.rhs + w[len(ri.lhs):], w[:p] + rj.rhs + w[p + len(rj.lhs):]
-
-
-def _descendants(amb, rs):
-    """The two one-step rewrites of the ambiguity word, by rule amb.i of
-    rs at its start and rule amb.j at offset_j, stepped by ``_meet``:
-    two equal words if they meet, and else the two ends, in either order.
-    """
-    return _meet(*_rewrites(amb, rs.rules), rs)
-
-
-def composition_remainder(amb, rs):
-    """Resolve an ambiguity: None if the composition is trivial, else a new Rule.
-
-    A difference of the normal forms of the two descendants is the
-    remainder rule.
-    """
-    x, y = _descendants(amb, rs)
-    if x == y:
-        return None
-    return make_rule(x, y)
 
 
 def _composite(amb, rs):
@@ -522,34 +465,31 @@ def _forked(p, serve):
 def _serving(rs):
     """The loop of a composing child forked with rs: for each request
     (rules, part), extend its copy of rs by the rules sent and reply with
-    the list ``_composed_in_parts`` yields for the part over it."""
+    ``_remainders`` of the part over it."""
     def serve(requests, replies):
         live = rs
         while (request := _recv(requests)) is not None:
             rules, part = request
             for rule in rules:
                 live = live.extended(Rule(*rule))
-            _send(replies, list(_composed_in_parts([Ambiguity(*a) for a in part], live, (), ())))
+            _send(replies, _remainders([Ambiguity(*a) for a in part], live))
     return serve
 
 
 def _composed_in_parts(batch, rs, children, rules):
-    """(k, lhs, rhs) for each prime ambiguity batch[k] whose composition
-    over rs leaves the remainder rule lhs -> rhs, in batch order.
+    """``_remainders(batch, rs)``, resolved in contiguous parts of the
+    batch, one per process.
 
-    The batch is cut into contiguous parts, one per process.  Each child
-    of ``_serving(rs)`` is sent rules, those added to rs since it last
-    heard, and its part; the caller's part comes first and is yielded
-    while the children compose theirs.  A failed child raises
+    Each child of ``_serving(rs)`` is sent rules, those added to rs since
+    it last heard, and its part; the caller's part comes first and is
+    yielded while the children resolve theirs.  A failed child raises
     ChildProcessError.
     """
     cut = [len(batch) * r // (len(children) + 1) for r in range(len(children) + 2)]
     for r, (requests, _) in enumerate(children, 1):
         _request(requests, ([tuple(rule) for rule in rules],
                             [tuple(amb) for amb in batch[cut[r]:cut[r + 1]]]))
-    for k, amb in enumerate(batch[:cut[1]]):
-        if not _composite(amb, rs) and (rule := composition_remainder(amb, rs)) is not None:
-            yield (k, *rule)
+    yield from _remainders(batch[:cut[1]], rs)
     for r, (_, replies) in enumerate(children, 1):
         for k, lhs, rhs in _reply(replies):
             yield (cut[r] + k, lhs, rhs)
@@ -595,12 +535,14 @@ def _resumed_normal_forms(words, rs):
     and leaves a snapshot at the end of each but the last.  Within a
     segment it scans letters until a leading word ends, pops the letters
     of the lowest-index one, and scans its rhs followed by the rest of
-    the segment.  Rules past a shared index are indexed with the others
-    first: they have higher indices than every covered rule, so the
-    lowest index ending at a letter is the same.
+    the segment.  A set built by ``extended`` with rules past its shared
+    index is first re-indexed in full, in place, so that the sets later
+    extended from it share the full index: the rules past it have higher
+    indices than every covered rule, so the lowest index ending at a
+    letter is the same.
     """
     if rs.index.low[0] < len(rs.rules):
-        rs = RuleSet(rs.rules, rs.alphabet_size)
+        rs.__dict__.pop("index", None)  # the cached property builds a full one
     goto, low, rules = rs.index.goto, rs.index.low, rs.rules
     common, takes = _shared_prefixes(words)
     saved, forms = [(0, b"", [0])], []  # snapshots (depth, out, states), depth ascending
@@ -639,44 +581,23 @@ def _resumed_normal_forms(words, rs):
     return forms
 
 
-def _joined(ambs, rs):
-    """True if, for every prime ambiguity in ambs, its two one-step
-    rewrites have one normal form by ``_resumed_normal_forms`` over the
-    sorted distinct rewrites."""
-    pairs = [_rewrites(a, rs.rules) for a in ambs if not _composite(a, rs)]
-    words = sorted({w for pair in pairs for w in pair})
-    forms = dict(zip(words, _resumed_normal_forms(words, rs)))
-    return all(forms[x] == forms[y] for x, y in pairs)
+def _remainders(batch, rs):
+    """(k, lhs, rhs) for each prime ambiguity batch[k] whose two one-step
+    rewrites have two normal forms over rs, in batch order; lhs -> rhs is
+    ``make_rule`` of the two forms, the remainder rule.
 
-
-def _joined_in_runs(ambs, rs):
-    """``_joined(ambs, rs)``, decided in contiguous runs of ambs, one per
-    process.
-
-    p is the usable CPUs, at most one per ``_RUN`` ambiguities.  The
-    children inherit ambs and rs (its index built) across the fork and
-    are sent only the bounds of their run; the caller decides the first
-    run while they decide theirs.  A refused fork leaves its run to the
-    caller.  A failed child raises ChildProcessError.
+    The composite ambiguities are skipped, and the distinct rewrites of
+    the others take their normal forms in one ``_resumed_normal_forms``.
     """
-    def serve(requests, replies):
-        if (bounds := _recv(requests)) is not None:
-            lo, hi = bounds
-            _send(replies, _joined(ambs[lo:hi], rs))
-
-    p = max(1, min(_usable_cpus(), len(ambs) // _RUN))
-    with _forked(p, serve) as children:
-        cut = [len(ambs) * r // (len(children) + 1) for r in range(len(children) + 2)]
-        for r, (requests, _) in enumerate(children, 1):
-            _request(requests, (cut[r], cut[r + 1]))
-        joined = _joined(ambs[:cut[1]], rs)
-        for _, replies in children:
-            joined = _reply(replies) and joined
-    return joined
+    pairs = [(k, _rewrites(a, rs.rules)) for k, a in enumerate(batch) if not _composite(a, rs)]
+    words = sorted({w for _, pair in pairs for w in pair})
+    forms = dict(zip(words, _resumed_normal_forms(words, rs)))
+    return [(k, *make_rule(forms[x], forms[y])) for k, (x, y) in pairs if forms[x] != forms[y]]
 
 
-_RUN = 512  # ambiguities per process: at 1,024 E7, ~B4 and ~D4 were checked
-# in one process and took 1.2-1.3x as long
+_RUN = 256  # ambiguities per process: at 512 affine A4's 869 and E6's 624 were
+# checked in one process and took 1.27x and 1.14x as long; at 1,024 E7, ~B4 and
+# ~D4 took 1.2-1.4x
 
 
 def is_gs_basis(rs):
@@ -691,52 +612,59 @@ def is_gs_basis(rs):
     Rewriting by rs terminates, so the flag does not depend on how the
     two one-step rewrites of each prime ambiguity are reduced (Newman's
     lemma; Book & Otto, String-Rewriting Systems, 1993): rs is confluent
-    exactly when the two have one normal form by any strategy.  So the
-    flag is decided by ``normal_form``'s stack pass, each rewrite resumed
-    at the prefix it shares with its sorted neighbour, in contiguous runs
-    of the listing, one per process and at most one per ``_RUN``
-    ambiguities (``_joined_in_runs``).  Only when some pair differs is
-    each prime ambiguity of the listing composed, in this process, with
-    ``composition_remainder``; the nontrivial ones are the witnesses,
-    sorted by ``_by_word``.  So the flag and the witnesses are those of
-    composing every prime ambiguity, for every p.  A failed child raises
-    ChildProcessError.
+    exactly when the two have one normal form by any strategy.  So each
+    ambiguity of the listing is resolved once, by ``_remainders``, in
+    contiguous parts, one per process and at most one per ``_RUN``
+    ambiguities (``_composed_in_parts``); the prime ones whose rewrites
+    have two normal forms are the witnesses, sorted by ``_by_word``, a
+    total order, so the flag and the witnesses do not depend on p.  A
+    failed child raises ChildProcessError.
     """
     ambs = list(_ambiguities_by_pair(rs))  # builds rs.index before any fork
-    if _joined_in_runs(ambs, rs):
-        return (True, [])
-    witnesses = sorted((a for a in ambs if not _composite(a, rs)
-                        and composition_remainder(a, rs) is not None), key=_by_word)
+    p = max(1, min(_usable_cpus(), len(ambs) // _RUN))
+    with _forked(p, _serving(rs)) as children:
+        witnesses = sorted((ambs[k] for k, _, _ in _composed_in_parts(ambs, rs, children, ())),
+                           key=_by_word)
     return (not witnesses, witnesses)
 
 
 _FORK_BATCH = 128  # ambiguities of the batch that forks the drain: at 64 the drains of
-# ~B4, ~D4 and rank 4 ran 1.1-1.3x serial; ranks 5 and 6 run at 0.70-0.77x
-_BATCH = 64  # ambiguities of a batch composed in parts once forked: 128 lost 5-10 %
+# affine A4, ~B4, ~D4 and E7 fork and gained nothing past the noise; at 256 affine
+# A5's drain never forks and took 1.07-1.10x as long
+_BATCH = 64  # ambiguities of a batch resolved in parts once forked: at 128 the drains of
+# affine A5 and A6 took 1.05-1.07x as long, and at 32 0.95-0.99x, within the noise
+
+
+def _chain_end(w, rs):
+    """w after reduce_once steps until it is reduced."""
+    while (nxt := reduce_once(w, rs)) is not None:
+        w = nxt
+    return w
 
 
 class _Completion:
     """Mutable completion state: an append-only rule table plus an ambiguity queue.
 
-    ``live`` is the RuleSet of every rule created, in creation order, so
-    that ``_meet`` over it (reduce_once steps, not ``normal_form``, whose
-    pass may end elsewhere) reduces the two sides of a new equation and
-    of a composition with the lowest-index rule first, and queued
-    ambiguities refer to rules by their index in ``live.rules``.
-    It only grows: a rule whose lhs contains a later lhs stays, and the
-    inclusion is queued like an overlap.  It is replaced, never mutated,
-    by ``live.extended(rule)`` when a rule is added, so the index over
-    the older rules is rebuilt only once more than ``_INDEX_TAIL`` rules
-    lie past it.
+    ``live`` is the RuleSet of every rule created, in creation order, and
+    queued ambiguities refer to rules by their index in ``live.rules``.
+    ``add_equation`` takes the two sides of a new equation to the ends of
+    their ``reduce_once`` chains over it (``_chain_end``), so the rule it
+    makes does not depend on ``normal_form``'s strategy.  ``live`` only
+    grows: a rule whose lhs contains a later lhs stays, and the
+    inclusion is queued like an overlap.  Adding a rule replaces it by
+    ``live.extended(rule)``, so the index over the older rules is shared
+    until more than ``_INDEX_TAIL`` rules lie past it, or until a batch
+    resolved against it re-indexes it in full.
 
     Invariant: the ambiguities of every pair of rules are queued when the
     later of the two is added.  ``drain`` pops every queued ambiguity of
-    the least word length as one batch, composes the whole batch against
-    ``live`` as it was at the start of the batch (frozen), skipping the
-    composite ambiguities, and then passes each nontrivial remainder to
-    ``add_equation``, in batch order, which meets its two sides again
-    under the growing ``live`` (``_meet`` ignores their order, so this is
-    the meet of the two chain ends).  This is sound:
+    the least word length as one batch, resolves the whole batch by
+    ``_remainders`` against ``live`` as it was at the start of the batch
+    (frozen), and then passes each remainder rule to ``add_equation``, in
+    batch order, which reduces its two sides again under the growing
+    ``live``.  Each normal form is reached by rewriting steps, so an
+    ambiguity whose two forms agree is joined under the frozen set.
+    This is sound:
 
     - a composition that the rules of L join stays joined under any
       L' containing L;
@@ -756,7 +684,9 @@ class _Completion:
     of ``_serving(live)`` for each usable CPU but one, once per drain;
     from then on ``_composed_in_parts`` cuts every batch of at least
     ``_BATCH`` ambiguities into contiguous parts, one per process, and
-    sends each child the rules added since its last part.  The drain is
+    sends each child the rules added since its last part.  A part's
+    normal forms do not depend on the other words resolved with it, so
+    neither do the remainders.  The drain is
     batched even when p = 1, so the pushes, the rules and the limit
     errors never depend on the CPU count.  ``prefixes`` and ``suffixes``
     file every rule under each proper prefix and each proper suffix of
@@ -772,7 +702,7 @@ class _Completion:
         self.suffixes = {}
 
     def add_equation(self, u, v):
-        u, v = _meet(u, v, self.live)
+        u, v = _chain_end(u, self.live), _chain_end(v, self.live)
         if u == v:
             return
         # both sides are normal, so no rule has this lhs already

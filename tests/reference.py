@@ -53,26 +53,6 @@ def one_step_rewrites(amb, rules):
     return ri + w[len(li):], w[:p] + rj + w[p + len(lj):]
 
 
-def descendants_by_steps(amb, rules):
-    """The two one-step rewrites stepped in the library's order: the
-    deg-lex-greater word steps until the two meet or it is reduced, and
-    then the other one steps to its end."""
-    x, y = one_step_rewrites(amb, rules)
-    while x != y:
-        if deglex_key(y) > deglex_key(x):
-            x, y = y, x
-        nxt = reduce_once_by_scan(x, rules)
-        if nxt is None:
-            return x, chain_end(y, rules)
-        x = nxt
-    return x, y
-
-
-def descendants_by_chain_ends(amb, rules):
-    """The chain ends of the two one-step rewrites, each taken alone."""
-    return tuple(chain_end(x, rules) for x in one_step_rewrites(amb, rules))
-
-
 def all_rewrite_fixpoints(w, rules):
     """Every irreducible word reachable by applying rules in any order."""
     seen = set()
@@ -135,6 +115,19 @@ def is_composite(amb, rules):
     neither end; inclusions are never composite."""
     i, _, w, _ = amb
     return len(w) > len(rules[i][0]) and any(lhs in w[1:-1] for lhs, _ in rules)
+
+
+def remainders_by_pass(ambs, rules):
+    """(k, lhs, rhs) for each ambiguity ambs[k] that is not composite and
+    whose two one-step rewrites have two ``stack_pass_end`` words, the
+    deg-lex greater one as lhs; in the order of ambs."""
+    out = []
+    for k, amb in enumerate(ambs):
+        if not is_composite(amb, rules):
+            x, y = (stack_pass_end(w, rules) for w in one_step_rewrites(amb, rules))
+            if x != y:
+                out.append((k, *sorted((x, y), key=deglex_key, reverse=True)))
+    return out
 
 
 # The group side.  An element of the rank-n affine group is its window

@@ -13,10 +13,10 @@ from affinegsb.rewriting import (
     Rule,
     RuleSet,
     ambiguities,
-    composition_remainder,
     is_gs_basis,
     is_reduced,
     make_rule,
+    _remainders,
 )
 
 
@@ -99,12 +99,9 @@ def test_derivation_chain_braid_commute():
         rs = g_families(n)
         target = make_rule(r_range(0, 2, n) + bytes([0]),
                            bytes([1]) + r_range(0, 2, n))
-        produced = set()
         defining = RuleSet([r for r in rs.rules if len(r.lhs) <= 3], rs.alphabet_size)
-        for amb in ambiguities(defining):
-            rem = composition_remainder(amb, defining)
-            if rem is not None:
-                produced.add(rem)
+        produced = {Rule(lhs, rhs) for amb in ambiguities(defining)
+                    for _, lhs, rhs in _remainders([amb], defining)}
         assert target in produced
 
 
@@ -119,11 +116,8 @@ def test_derivation_chain_wraparound():
                           bytes([1]) + r_range(0, n - 1, n))
         wrap = make_rule(bytes([0, n, 0]), bytes([n, 0, n]))
         pair = RuleSet([shift, wrap], rs.alphabet_size)
-        produced = {
-            composition_remainder(a, pair)
-            for a in ambiguities(pair)
-        }
-        produced.discard(None)
+        produced = {Rule(lhs, rhs) for a in ambiguities(pair)
+                    for _, lhs, rhs in _remainders([a], pair)}
         assert target in produced
 
 

@@ -209,19 +209,16 @@ def test_failed_completion_certificate_is_one_line_error(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 @pytest.mark.parametrize("argv", ["verify --n 5", "reduce --builtin affine-a --n 5 --word 'r0 r1'"])
 def test_failed_composing_child_is_one_line_error(argv, cpus, monkeypatch):
-    # the drain's child composes with _descendants; is_gs_basis's children
-    # take normal forms with _resumed_normal_forms
-    parent = os.getpid()
+    # the children of the drain and of is_gs_basis both take normal forms
+    # with _resumed_normal_forms
+    parent, work = os.getpid(), rewriting._resumed_normal_forms
 
-    def failing_in_a_child(work):
-        def fail_in_a_child(*args):
-            if os.getpid() != parent:
-                raise ValueError("in a child")
-            return work(*args)
-        return fail_in_a_child
+    def fail_in_a_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("in a child")
+        return work(*args)
 
-    for name in ("_descendants", "_resumed_normal_forms"):
-        monkeypatch.setattr(rewriting, name, failing_in_a_child(getattr(rewriting, name)))
+    monkeypatch.setattr(rewriting, "_resumed_normal_forms", fail_in_a_child)
     forks = cpus(2)
     code, out, err = invoke(*shlex.split(argv))
     assert code == 1 and out == "" and len(forks) == 1

@@ -147,6 +147,32 @@ def test_every_test_reference_is_imported_by_a_test():
     assert [name for name in TEST_REFERENCES if name not in imported] == []
 
 
+def stale_oracles(reference, tests):
+    """Top-level functions of the reference module that neither it (outside
+    their own definition) nor any of the test modules reads, in order of
+    definition."""
+    return unread_public_names([reference], tests)
+
+
+def test_stale_oracles_are_found():
+    reference = (
+        "def key(w):\n    return len(w)\n"
+        "def end(w):\n    return end(w[1:]) if w else w\n"
+        "def steps(w):\n    return sorted(w, key=key)\n"
+        "def unused(w):\n    return steps(w)\n"
+    )
+    tests = ["import reference\ndef test_end():\n    assert reference.end(b'') == b''\n"]
+    assert stale_oracles(reference, tests) == ["unused"]
+    assert stale_oracles(reference, []) == ["end", "unused"]
+
+
+def test_every_oracle_is_read_by_a_test():
+    # an oracle that no test reads any more checks nothing
+    tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("test_*.py"))]
+    reference = (TESTS / "reference.py").read_text(encoding="utf-8")
+    assert stale_oracles(reference, tests) == []
+
+
 def _attribute_loads(node):
     """How often each attribute name is read under node."""
     return Counter(

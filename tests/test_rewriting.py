@@ -25,7 +25,6 @@ from affinegsb.rewriting import (
     RuleSet,
     ambiguities,
     complete,
-    composition_remainder,
     find_first_forbidden,
     interreduce,
     is_gs_basis,
@@ -34,10 +33,10 @@ from affinegsb.rewriting import (
     normal_form,
     reduce_once,
     _Completion,
+    _chain_end,
     _composite,
-    _descendants,
-    _meet,
     _pair_ambiguities,
+    _remainders,
 )
 from affinegsb.series import count_reduced
 from affinegsb.words import RankMismatchError
@@ -281,10 +280,12 @@ def test_extended_lists_an_uncovered_lhs_inside_an_older_one():
     inclusions = [a for a in ambiguities(rs) if a.word == rs.rules[0].lhs]
     assert inclusions == [Ambiguity(0, 1, b"\x00\x00\x01", 0)]
     assert ambiguities(rs) == ambiguities(RuleSet(rs.rules, 2))
-    assert is_gs_basis(rs) == is_gs_basis(RuleSet(rs.rules, 2))
     assert reduce_once(b"\x01\x00\x00", rs) == b"\x01"
     with pytest.raises(RankMismatchError):
         reduce_once(b"\x00\x00\x02", rs)
+    # the stack pass of is_gs_basis re-indexes rs in full, in place
+    assert is_gs_basis(rs) == is_gs_basis(RuleSet(rs.rules, 2))
+    assert rs.index.low[0] == 2
 
 
 def test_pickles_and_copies_hold_only_the_rules():
@@ -419,8 +420,8 @@ def test_ambiguities_match_all_pairs(sets, monkeypatch):
         expected = reference.ambiguities_by_all_pairs(rs.rules)
         monkeypatch.setattr(rewriting, "_pair_ambiguities", pair_ambiguities)
         assert ambiguities(rs) == expected
-        witnesses = [a for a in expected if composition_remainder(Ambiguity(*a), rs) is not None
-                     and not reference.is_composite(a, rs.rules)]
+        witnesses = [a for a in expected if not reference.is_composite(a, rs.rules)
+                     and len(two_forms(a, rs)) == 2]
         assert is_gs_basis(rs) == (not witnesses, witnesses)
         monkeypatch.undo()
         assert empty == [], rs
@@ -463,9 +464,13 @@ def test_ambiguities_sorted_by_word():
     assert keys == sorted(keys)
 
 
+def two_forms(amb, rs):
+    """The normal forms of the two one-step rewrites of amb, as a set."""
+    return {normal_form(x, rs) for x in reference.one_step_rewrites(amb, rs.rules)}
+
+
 def test_composition_trivial_involution():
-    amb = ambiguities(INVOLUTION)[0]
-    assert composition_remainder(amb, INVOLUTION) is None
+    assert _remainders(ambiguities(INVOLUTION), INVOLUTION) == []
 
 
 def test_composition_yields_shifted_run_rule():
@@ -481,12 +486,11 @@ def test_composition_yields_shifted_run_rule():
         if a.i == braid and a.j == comm and a.word == bytes([0, 1, 0, 2])
     ]
     assert len(found) == 1
-    assert composition_remainder(found[0], rs) == target
+    assert _remainders(found, rs) == [(0, *target)]
 
 
 def test_composition_all_trivial_on_completed_basis(affine2_basis):
-    for amb in ambiguities(affine2_basis):
-        assert composition_remainder(amb, affine2_basis) is None
+    assert exhaustively_confluent(affine2_basis)
 
 
 def test_complete_already_complete():
@@ -529,8 +533,19 @@ def recorded(state_class, rs, max_degree=64, max_rules=300):
     """Completing rs: every ambiguity pushed, in push order; the rule
     table; the limit message (None if no limit was hit); and every live
     rule set made, each with the index it shares or built.  Made once per
-    session for each state class, rule set and pair of limits."""
-    return _record(state_class, rs, max_degree, max_rules)
+    session for each state class, rule set and pair of limits; each call
+    gets its own copies of the live sets, sharing their indexes, so that
+    a stack pass that re-indexes a copy leaves the others as they were."""
+    run = _record(state_class, rs, max_degree, max_rules)
+    return run._replace(snapshots=tuple(map(twin, run.snapshots)))
+
+
+def twin(rs):
+    """A new RuleSet object holding the rules of rs and the index it
+    shares or built, if any."""
+    out = object.__new__(RuleSet)
+    out.__dict__.update(rs.__dict__)
+    return out
 
 
 @functools.cache
@@ -633,7 +648,8 @@ LIVE_CASES = {**DRAIN_CASES, "affine_a5": affine_a(5).to_rules()}
 def test_extended_live_rules_answer_as_a_fresh_rule_set(name):
     # every live rule set completion makes answers as the RuleSet of the
     # same rules built from scratch, and some share an index with up to 8
-    # rules past it
+    # rules past it; each query reads a copy, since the stack pass of
+    # normal_form re-indexes the set it reads
     tails = []
     for live in recorded(_Completion, LIVE_CASES[name]).snapshots:
         fresh = RuleSet(live.rules, live.alphabet_size)
@@ -642,7 +658,7 @@ def test_extended_live_rules_answer_as_a_fresh_rule_set(name):
         for _ in range(20):
             w = bytes(rng.randrange(live.alphabet_size) for _ in range(rng.randint(0, 16)))
             for query in (reduce_once, normal_form, is_reduced, find_first_forbidden):
-                assert query(w, live) == query(w, fresh), (query.__name__, w)
+                assert query(w, twin(live)) == query(w, fresh), (query.__name__, w)
         assert ambiguities(live) == ambiguities(fresh)
         assert is_gs_basis(live) == is_gs_basis(fresh)
     assert 1 <= max(tails) <= 8
@@ -650,9 +666,11 @@ def test_extended_live_rules_answer_as_a_fresh_rule_set(name):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_completion_rebuilds_its_index_once_per_eight_rules(n, monkeypatch):
-    # the parent's index is shared while at most 8 rules lie past it, so
-    # completing affine A5 and A6 builds 14 and 22 indexes, not 108 and 174
-    builds, created = [], []
+    # the parent's index is shared while at most 8 rules lie past it, and
+    # a drain batch that starts with rules past it re-indexes the frozen
+    # set in full, once, for the sets extended from it; completing affine
+    # A5 and A6 builds 23 and 31 indexes, not 108 and 174
+    builds, created, reindexed = [], [], []
 
     class CountingIndex(rewriting.LeadingWordIndex):
         def __init__(self, words, alphabet_size):
@@ -665,10 +683,17 @@ def test_completion_rebuilds_its_index_once_per_eight_rules(n, monkeypatch):
         created.append(rule)
         return extended(rs, rule)
 
+    def counting_remainders(batch, rs):
+        index = rs.__dict__.get("index")
+        reindexed.append(index is not None and index.low[0] < len(rs))
+        return remainders(batch, rs)
+
+    remainders = rewriting._remainders
     monkeypatch.setattr(rewriting, "LeadingWordIndex", CountingIndex)
     monkeypatch.setattr(RuleSet, "extended", counting_extended)
+    monkeypatch.setattr(rewriting, "_remainders", counting_remainders)
     complete(affine_a(n).to_rules())
-    assert len(builds) <= math.ceil(len(created) / 8) + 3
+    assert len(builds) <= math.ceil(len(created) / 8) + sum(reindexed) + 3
 
 
 class AllPairsCompletion(_Completion):
@@ -696,17 +721,14 @@ class AllPairsCompletion(_Completion):
 
 
 class SerialCompletion(_Completion):
-    """Completion whose drain pops one ambiguity at a time and composes it
+    """Completion whose drain pops one ambiguity at a time and resolves it
     against the live rules of that moment."""
 
     def drain(self):
         while self.pending:
             _, amb = heapq.heappop(self.pending)
-            if _composite(amb, self.live):
-                continue
-            x, y = _descendants(amb, self.live)
-            if x != y:
-                self.add_equation(x, y)
+            for _, lhs, rhs in _remainders([amb], self.live):
+                self.add_equation(lhs, rhs)
 
 
 def random_presentation(seed):
@@ -840,8 +862,8 @@ def test_ambiguity_listing_calls_only_overlapping_pairs(cpus, monkeypatch):
 def test_completion_steps_match_rule_scan_and_full_normal_forms(name, monkeypatch):
     # the same rules are created in the same order as with the
     # slice-loop ambiguities, the leftmost-start scan as the
-    # reducibility test and the step-by-step descendants, and then also
-    # with the two chain ends taken one after the other
+    # reducibility test, the chain of rule-scan steps for a new equation,
+    # and the plainly written stack pass as the composer
     rs = DRAIN_CASES[name]
 
     def run():
@@ -857,23 +879,22 @@ def test_completion_steps_match_rule_scan_and_full_normal_forms(name, monkeypatc
                         lambda *pair: [Ambiguity(*a) for a in by_slices(*pair)])
     monkeypatch.setattr(rewriting, "is_reduced",
                         lambda w, rs: reference.find_first_forbidden_by_scan(w, rs.rules) is None)
-    monkeypatch.setattr(rewriting, "_descendants",
-                        lambda amb, rs: reference.descendants_by_steps(amb, rs.rules))
-    assert run() == (rules, basis)
-    monkeypatch.setattr(rewriting, "_descendants",
-                        lambda amb, rs: reference.descendants_by_chain_ends(amb, rs.rules))
+    monkeypatch.setattr(rewriting, "_chain_end", lambda w, rs: reference.chain_end(w, rs.rules))
+    monkeypatch.setattr(rewriting, "_remainders",
+                        lambda batch, rs: reference.remainders_by_pass(batch, rs.rules))
     assert run() == (rules, basis)
 
 
-def test_composition_remainder_is_that_of_two_normal_forms():
+def test_remainders_are_those_of_two_normal_forms():
+    # 80 % of the explicit basis is not confluent, so some pairs of
+    # rewrites have two normal forms
     nontrivial = 0
     for seed in range(10):
         rs = basis_subset(4, 3000 + seed)
-        for amb in ambiguities(rs):
-            x, y = reference.descendants_by_chain_ends(amb, rs.rules)
-            expected = None if x == y else make_rule(x, y)
-            assert composition_remainder(amb, rs) == expected, (seed, amb)
-            nontrivial += expected is not None
+        ambs = ambiguities(rs)
+        expected = reference.remainders_by_pass(ambs, rs.rules)
+        assert _remainders(ambs, rs) == expected, seed
+        nontrivial += len(expected)
     assert nontrivial
 
 
@@ -889,22 +910,30 @@ def steps_past_index(amb, rs):
 
 
 def assert_descendants_take_the_steps(rs):
-    """_descendants, and _meet taking one word to its end, over rs against
-    the step-by-step reference; returns the steps past rs's index."""
+    """_chain_end of each ambiguity word of rs and of its two one-step
+    rewrites against the chain of rule-scan steps; returns the steps past
+    rs's index."""
     past = 0
     for amb in ambiguities(rs):
-        assert _descendants(amb, rs) == reference.descendants_by_steps(amb, rs.rules), amb
-        assert _meet(amb.word, b"", rs)[0] == reference.chain_end(amb.word, rs.rules), amb
+        for w in (amb.word, *reference.one_step_rewrites(amb, rs.rules)):
+            assert _chain_end(w, rs) == reference.chain_end(w, rs.rules), amb
         past += steps_past_index(amb, rs)
     return past
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_descendants_take_reduce_once_steps_over_the_explicit_basis(n):
-    assert_descendants_take_the_steps(g_families(n))
+def assert_remainders_match_the_reference(rs):
+    """_remainders of every ambiguity of rs against the plainly written
+    stack pass; the pass re-indexes rs in full if rules lie past its
+    index.  Returns the remainders."""
+    ambs = ambiguities(rs)
+    out = _remainders(ambs, rs)
+    assert out == reference.remainders_by_pass(ambs, rs.rules)
+    assert rs.index.low[0] == len(rs)
+    return out
 
 
-@pytest.mark.parametrize("cases", [
+EXPLICIT_SETS = [2, 3, 4, 5]
+LIVE_SETS = [
     pytest.param(lambda: recorded(_Completion, DRAIN_CASES["affine_a3"]).snapshots,
                  id="affine_a3"),
     pytest.param(lambda: recorded(_Completion, DRAIN_CASES["affine_a4"]).snapshots[::3],
@@ -912,7 +941,15 @@ def test_descendants_take_reduce_once_steps_over_the_explicit_basis(n):
     pytest.param(lambda: [live for seed in range(40) for live in
                           recorded(_Completion, random_presentation(seed), 24).snapshots[::2]],
                  id="random"),
-])
+]
+
+
+@pytest.mark.parametrize("n", EXPLICIT_SETS)
+def test_descendants_take_reduce_once_steps_over_the_explicit_basis(n):
+    assert_descendants_take_the_steps(g_families(n))
+
+
+@pytest.mark.parametrize("cases", LIVE_SETS)
 def test_descendants_take_reduce_once_steps_in_the_middle_of_completion(cases):
     # live sets share an index with up to 8 rules past it, so some steps
     # find their rule by the test of the rules past the index
@@ -921,9 +958,25 @@ def test_descendants_take_reduce_once_steps_in_the_middle_of_completion(cases):
     assert sum(map(assert_descendants_take_the_steps, snapshots)) > 0
 
 
+@pytest.mark.parametrize("n", EXPLICIT_SETS)
+def test_remainders_match_the_reference_pass_over_the_explicit_basis(n):
+    # a confluent set leaves no remainder
+    assert assert_remainders_match_the_reference(g_families(n)) == []
+
+
+@pytest.mark.parametrize("cases", LIVE_SETS)
+def test_remainders_match_the_reference_pass_in_the_middle_of_completion(cases):
+    # some live sets have rules past their shared index, and some are not
+    # confluent
+    snapshots = cases()
+    assert any(len(live) > live.index.low[0] for live in snapshots)
+    assert sum(len(assert_remainders_match_the_reference(live)) for live in snapshots) > 0
+
+
 def exhaustively_confluent(rs):
-    """The definition: every composition of every ambiguity is trivial."""
-    return all(composition_remainder(a, rs) is None for a in ambiguities(rs))
+    """The definition: the two one-step rewrites of every ambiguity have
+    one normal form."""
+    return all(len(two_forms(a, rs)) == 1 for a in ambiguities(rs))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -992,10 +1045,9 @@ def test_is_gs_basis_accepts_or_rejects(rs, ok):
 
 
 def serial_gs_basis(rs):
-    """is_gs_basis composed in one process: the reference for its forked parts."""
-    witnesses = [a for a in rewriting._ambiguities_by_pair(rs)
-                 if not _composite(a, rs) and rewriting.composition_remainder(a, rs) is not None]
-    witnesses.sort(key=rewriting._by_word)
+    """is_gs_basis resolved in one process: the reference for its forked parts."""
+    ambs = list(rewriting._ambiguities_by_pair(rs))
+    witnesses = sorted((ambs[k] for k, _, _ in _remainders(ambs, rs)), key=rewriting._by_word)
     return (not witnesses, witnesses)
 
 
@@ -1013,7 +1065,7 @@ def test_is_gs_basis_in_two_processes_matches_serial(name, cpus):
 
 
 @forking
-@pytest.mark.parametrize("n,count", [(5, 721), (6, 2337)])
+@pytest.mark.parametrize("n,count", [(5, 758), (6, 2343)])
 def test_is_gs_basis_shares_find_the_serial_witnesses_on_subsets(n, count, cpus):
     rules = g_families(n).rules
     rng = random.Random(7000 + n)
@@ -1035,27 +1087,22 @@ def test_is_gs_basis_forks_a_child_per_further_cpu(cpus):
 
 @forking
 def test_is_gs_basis_reads_a_payload_larger_than_a_pipe_buffer(cpus, monkeypatch):
-    # a child replies with whether its run is joined; here its reply is
-    # the normal forms of its run instead, which are truthy and, at
-    # g_families(6), over 64 KiB
+    # a child replies with the remainders of its part; here every word is
+    # its own normal form, so every prime pair of rewrites fails, and at
+    # g_families(6) the reply is over 64 KiB
     rs = g_families(6)
-    parent, joined, replies = os.getpid(), rewriting._joined, []
-
-    def forms_in_a_child(ambs, rs):
-        if os.getpid() == parent:
-            return joined(ambs, rs)
-        words = sorted({w for a in ambs for w in rewriting._rewrites(a, rs.rules)})
-        return rewriting._resumed_normal_forms(words, rs)
+    replies = []
 
     def reply(pipe):
         replies.append(real_reply(pipe))
         return replies[-1]
 
     real_reply = rewriting._reply
-    monkeypatch.setattr(rewriting, "_joined", forms_in_a_child)
+    monkeypatch.setattr(rewriting, "_resumed_normal_forms", lambda words, rs: words)
     monkeypatch.setattr(rewriting, "_reply", reply)
+    expected = serial_gs_basis(rs)
     forks = cpus(2)
-    assert is_gs_basis(rs) == serial_gs_basis(rs) == (True, [])
+    assert is_gs_basis(rs) == expected and not expected[0]
     assert len(forks) == 1 and len(marshal.dumps(replies[0])) > 65536
 
 
@@ -1100,7 +1147,7 @@ def test_is_gs_basis_takes_the_verdict_of_its_child(cpus):
     rs = RuleSet(rules[:88] + rules[89:], 6)
     ambs = list(rewriting._ambiguities_by_pair(rs))
     half = len(ambs) // 2
-    assert rewriting._joined(ambs[:half], rs) and not rewriting._joined(ambs[half:], rs)
+    assert not _remainders(ambs[:half], rs) and _remainders(ambs[half:], rs)
     forks = cpus(2)
     ok, witnesses = is_gs_basis(rs)
     assert (ok, witnesses) == serial_gs_basis(rs)
@@ -1171,7 +1218,9 @@ def test_resumed_normal_forms_match_normal_form_off_confluent_sets():
 
 
 def test_resumed_normal_forms_index_the_rules_past_a_shared_index():
-    # extended sets share an index with up to 8 rules past it
+    # extended sets share an index with up to 8 rules past it; the pass
+    # re-indexes such a set in full, in place, and a set extended from it
+    # then shares the full index
     rng = random.Random(6)
     for seed in range(10):
         rules = list(basis_subset(4, 4100 + seed).rules)
@@ -1182,6 +1231,8 @@ def test_resumed_normal_forms_index_the_rules_past_a_shared_index():
             rs = rs.extended(rule)
         assert rs.index.low[0] == len(rs) - 6
         assert_resumed_forms(sorted_words(rng, 5, 80, 16), rs)
+        assert rs.index.low[0] == len(rs)
+        assert rs.extended(Rule(b"\x04" * 9, b"\x04")).index is rs.index
 
 
 @pytest.mark.parametrize("sets", [
@@ -1196,28 +1247,32 @@ def test_is_gs_basis_flag_by_resumed_forms_at_every_size(sets):
     # normal_form
     for rs in sets():
         primes = [a for a in ambiguities(rs) if not _composite(a, rs)]
-        joined = all(normal_form(x, rs) == normal_form(y, rs)
-                     for x, y in (rewriting._rewrites(a, rs.rules) for a in primes))
-        assert rewriting._joined(primes, rs) == joined
+        joined = all(len(two_forms(a, rs)) == 1 for a in primes)
+        assert (not _remainders(primes, rs)) == joined
         assert is_gs_basis(rs) == serial_gs_basis(rs)
         assert is_gs_basis(rs)[0] == joined
 
 
-def test_is_gs_basis_composes_nothing_on_confluent_sets_of_few_ambiguities(monkeypatch):
-    # the normal-form check decides the flag at every size, so a
-    # confluent set is never composed
-    sets = [g_families(n) for n in (2, 3, 4)] + [complete(H3), complete(F4)]
-    composed = []
+@pytest.mark.parametrize("sets", [
+    pytest.param(lambda: [g_families(n) for n in (2, 3, 4)] + [complete(H3), complete(F4)],
+                 id="confluent"),
+    pytest.param(lambda: [basis_subset(n, 4300 + n) for n in (3, 4)], id="basis-subsets"),
+])
+def test_is_gs_basis_resolves_each_ambiguity_once(sets, cpus, monkeypatch):
+    # one pass decides the flag and names the witnesses: in one process,
+    # the listing goes to _remainders once, and nothing is resolved again
+    cpus(1)
+    resolved, remainders = [], rewriting._remainders
 
-    def counted(amb, rs):
-        composed.append(amb)
-        return composition_remainder(amb, rs)
+    def counted(batch, rs):
+        resolved.append(sorted(batch, key=rewriting._by_word))
+        return remainders(batch, rs)
 
-    monkeypatch.setattr(rewriting, "composition_remainder", counted)
-    for rs in sets:
-        assert len(ambiguities(rs)) < 1000
-        assert is_gs_basis(rs) == (True, [])
-    assert composed == []
+    monkeypatch.setattr(rewriting, "_remainders", counted)
+    for rs in sets():
+        resolved.clear()
+        is_gs_basis(rs)
+        assert resolved == [ambiguities(rs)]
 
 
 def traces(cases):
@@ -1257,7 +1312,7 @@ def forking_caller(name):
 
 # the work of a forked child, and the calls of it that a child makes before
 # a planted fault fails it
-CHILD_WORK = {"is_gs_basis": ("_resumed_normal_forms", 0), "drain": ("_descendants", 100)}
+CHILD_WORK = {"is_gs_basis": ("_resumed_normal_forms", 0), "drain": ("_resumed_normal_forms", 2)}
 
 
 @forking
@@ -1313,15 +1368,15 @@ def test_drain_reaps_its_child_at_the_rule_limit(cpus):
 
 @forking
 def test_drain_reaps_its_child_on_keyboard_interrupt(cpus, monkeypatch):
-    parent, remainder = os.getpid(), rewriting.composition_remainder
+    parent, remainders = os.getpid(), rewriting._remainders
     forks = cpus(2)
 
-    def interrupted(amb, rs):
+    def interrupted(batch, rs):
         if forks and os.getpid() == parent:
             raise KeyboardInterrupt
-        return remainder(amb, rs)
+        return remainders(batch, rs)
 
-    monkeypatch.setattr(rewriting, "composition_remainder", interrupted)
+    monkeypatch.setattr(rewriting, "_remainders", interrupted)
     with pytest.raises(KeyboardInterrupt):
         drain_affine_a5()
     assert len(forks) == 1
@@ -1348,12 +1403,14 @@ def test_drain_composes_every_part_itself_when_its_fork_is_refused(cpus, monkeyp
 def test_drain_child_takes_a_request_and_sends_a_reply_larger_than_a_pipe_buffer(monkeypatch):
     # the drain's child, _serving of its live rules, holds g_families(6)
     # but its last rule; it is sent that rule and every ambiguity, and
-    # every prime one is made to fail
+    # every word is made its own normal form, so every prime one fails
     rs = g_families(6)
-    monkeypatch.setattr(rewriting, "_descendants", lambda amb, rs: (amb.word, b""))
+    monkeypatch.setattr(rewriting, "_resumed_normal_forms", lambda words, rs: words)
     ambs = ambiguities(rs)
     request = ([tuple(rs.rules[-1])], [tuple(a) for a in ambs])
-    reply = [(k, a.word, b"") for k, a in enumerate(ambs) if not _composite(a, rs)]
+    pairs = [(k, rewriting._rewrites(a, rs.rules)) for k, a in enumerate(ambs)
+             if not _composite(a, rs)]
+    reply = [(k, *make_rule(x, y)) for k, (x, y) in pairs if x != y]
     assert min(len(marshal.dumps(request)), len(marshal.dumps(reply))) > 65536
     serve = rewriting._serving(RuleSet(rs.rules[:-1], rs.alphabet_size))
     with rewriting._forked(2, serve) as children:
